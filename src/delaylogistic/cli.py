@@ -120,6 +120,16 @@ def _condition_payload(cond: jury.ConditionResult) -> dict:
             "tolerance": cond.tolerance}
 
 
+def _evidence_payload(p: polynomial.Polynomial,
+                      verdict: jury.StabilityVerdict) -> dict:
+    """What the verdict rests on: the conditions, or the root moduli."""
+    if verdict.method == sweep.JURY:
+        return {"conditions": [_condition_payload(c)
+                               for c in jury.jury_conditions(p)]}
+    moduli = sorted((abs(z) for z in polynomial.roots(p).roots), reverse=True)
+    return {"root_moduli": moduli}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> str:
     params = delay_map.DelayParams(r=args.r, K=args.K, tau=args.tau)
     if args.history is not None:
@@ -145,9 +155,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 def _cmd_stability(args: argparse.Namespace) -> str:
     p = delay_map.char_poly(delay_map.DelayParams(r=args.r, K=1.0, tau=args.tau),
                             args.point)
-    if args.point == delay_map.NONTRIVIAL:
-        verdict = sweep.is_stable_nontrivial(args.tau, args.r, method=args.method)
-    elif args.method == sweep.JURY:
+    if args.method == sweep.JURY:
         verdict = jury.jury_verdict(p)
     else:
         verdict = jury.oracle_verdict(p)
@@ -158,12 +166,7 @@ def _cmd_stability(args: argparse.Namespace) -> str:
         "char_poly": list(p.coeffs),
         "verdict": _verdict_payload(verdict),
     }
-    if verdict.method == sweep.JURY:
-        payload["conditions"] = [_condition_payload(c)
-                                 for c in jury.jury_conditions(p)]
-    else:
-        moduli = sorted((abs(z) for z in polynomial.roots(p).roots), reverse=True)
-        payload["root_moduli"] = moduli
+    payload.update(_evidence_payload(p, verdict))
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -222,13 +225,7 @@ def _cmd_jury(args: argparse.Namespace) -> str:
     except jury.SingularTableError as exc:
         payload["table_rows"] = None
         payload["note"] = f"{exc}; verdict taken from the root oracle"
-    if verdict.method == sweep.JURY:
-        payload["conditions"] = [_condition_payload(c)
-                                 for c in jury.jury_conditions(normalized)]
-    else:
-        moduli = sorted((abs(z) for z in polynomial.roots(normalized).roots),
-                        reverse=True)
-        payload["root_moduli"] = moduli
+    payload.update(_evidence_payload(normalized, verdict))
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -8,12 +8,25 @@ equivalent to ``m + 1`` strict inequalities: two boundary evaluations at
 +1 and -1, a magnitude test on the outer coefficients, and one magnitude
 test per reduced row.
 
+The table is scale-free. Each product squares the row's magnitude, so
+left alone the rows of a deep table underflow (or overflow) within a few
+dozen reductions. A row whose largest magnitude leaves [2**-256, 2**256] is
+therefore multiplied by the power of two that brings that magnitude into
+[1, 2). The scaling changes only exponents, and the recurrence and every
+|last| > |first| condition are homogeneous in the row, so each verdict is
+the one the same table would give with unlimited exponent range. For the
+same reason a row counts as singular when its last entry is ~0 relative to
+the row's own largest magnitude, not in absolute terms.
+
 An independent verdict based on the root-modulus oracle is provided for
-cross-checking and as a fallback when the table degenerates.
+cross-checking and as a fallback when the table is genuinely singular
+(a zero pivot, such as the constant term of the all-zero fixed point's
+characteristic polynomial).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .polynomial import Polynomial, evaluate, normalize_leading, spectral_radius
@@ -25,11 +38,18 @@ MARGINAL = "marginal"
 # Strict inequalities are granted only beyond this slack, relative to the
 # magnitudes being compared; anything inside the band counts as marginal.
 # The scaling matters: the reduction squares the outer entries row after
-# row, so their absolute size drops double-exponentially with the degree
-# and a fixed absolute band would misread deep tables as marginal.
+# row, and the table rescales rows by powers of two to keep them in range,
+# so only a band relative to the operands reads the same at every depth.
 MARGIN_TOL = 1e-12
 
+# A row is singular when |last| <= _SINGULAR_TOL * max |row|.
 _SINGULAR_TOL = 1e-12
+# A row is rescaled once its largest magnitude leaves this range. A
+# product squares the magnitude, so a row inside it cannot underflow or
+# overflow a double at the next reduction.
+_RESCALE_LOW = 2.0 ** -256
+_RESCALE_HIGH = 2.0 ** 256
+# verify_sparse_induction: largest recurrence error, relative to the row.
 _RECURRENCE_TOL = 1e-9
 
 
@@ -43,9 +63,15 @@ class SingularTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class JuryTable:
-    """Reduction rows; ``rows[0]`` is the input coefficient row."""
+    """Reduction rows; ``rows[0]`` is the input coefficient row.
+
+    ``shifts[i]`` is the exponent of the power of two that row ``i`` was
+    multiplied by after its reduction: 0 for the input row and for every
+    row whose largest magnitude stayed within [2**-256, 2**256].
+    """
 
     rows: tuple[tuple[float, ...], ...]
+    shifts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -103,25 +129,39 @@ def jury_table(p: Polynomial) -> JuryTable:
     """Build the full reduction table down to the three-entry row.
 
     For a row ``(a_0, ..., a_m)`` the successor entries are
-    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``. Raises
-    :class:`SingularTableError` if a row that still needs reduction has a
-    last entry within 1e-12 of zero, and :class:`TableNotApplicableError`
-    for degree < 2.
+    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``; a successor
+    whose largest magnitude leaves [2**-256, 2**256] is then multiplied by
+    the power of two that brings that magnitude into [1, 2), recorded in
+    ``shifts``. Raises :class:`SingularTableError` if a row that still
+    needs reduction has a last entry within 1e-12 of zero relative to the
+    row's largest magnitude, and :class:`TableNotApplicableError` for
+    degree < 2.
     """
     p = normalize_leading(p)
     if p.degree < 2:
         raise TableNotApplicableError(
             f"reduction table needs degree >= 2, got {p.degree}")
     rows: list[tuple[float, ...]] = [p.coeffs]
+    shifts = [0]
+    peak = max(map(abs, p.coeffs))
     while len(rows[-1]) > 3:
         row = rows[-1]
         m = len(row) - 1
-        if abs(row[m]) <= _SINGULAR_TOL:
+        first, last = row[0], row[m]
+        if abs(last) <= _SINGULAR_TOL * peak:
             raise SingularTableError(
-                f"singular table: row {len(rows)} ends in {row[m]:.3e}")
-        rows.append(tuple(row[m] * row[k + 1] - row[m - 1 - k] * row[0]
-                          for k in range(m)))
-    return JuryTable(tuple(rows))
+                f"singular table: row {len(rows)} ends in {last:.3e}")
+        nxt = tuple([last * row[k + 1] - row[m - 1 - k] * first
+                     for k in range(m)])
+        peak = max(map(abs, nxt))
+        shift = 0
+        if peak != 0.0 and not _RESCALE_LOW <= peak <= _RESCALE_HIGH:
+            shift = 1 - math.frexp(peak)[1]
+            nxt = tuple([math.ldexp(c, shift) for c in nxt])
+            peak = math.ldexp(peak, shift)
+        rows.append(nxt)
+        shifts.append(shift)
+    return JuryTable(tuple(rows), tuple(shifts))
 
 
 def jury_conditions(p: Polynomial) -> list[ConditionResult]:
@@ -219,14 +259,18 @@ def verify_sparse_induction(tau: int, r: float) -> InductionReport:
     - ``next[m-2] =  prev[m] * prev[m-1]``
     - ``next[m-1] =  prev[m]**2 - prev[0]**2``
 
-    Violations are reported through the flags, not raised. The input row
-    itself carries its middle non-zero entry at position 1, so the pattern
-    is only asserted after one reduction.
+    each right-hand side times ``2**shift``, the power of two the table
+    applied to ``next``. ``max_discrepancy`` is the largest error relative
+    to the largest magnitude in ``next``. Violations are reported through
+    the flags, not raised. The input row itself carries its middle non-zero
+    entry at position 1, so the pattern is only asserted after one
+    reduction.
     """
     if tau < 2:
         raise ValueError("need tau >= 2 so the table has a reduced row")
     p = Polynomial((1.0, -1.0) + (0.0,) * (tau - 1) + (float(r),))
-    reduced = jury_table(p).rows[1:]
+    table = jury_table(p)
+    reduced = table.rows[1:]
 
     sparse = True
     for row in reduced:
@@ -235,13 +279,14 @@ def verify_sparse_induction(tau: int, r: float) -> InductionReport:
             sparse = False
 
     max_discrepancy = 0.0
-    for prev, nxt in zip(reduced, reduced[1:]):
+    for prev, nxt, shift in zip(reduced, reduced[1:], table.shifts[2:]):
         m = len(prev) - 1
-        max_discrepancy = max(
-            max_discrepancy,
-            abs(nxt[0] - (-prev[m - 1] * prev[0])),
-            abs(nxt[-2] - prev[m] * prev[m - 1]),
-            abs(nxt[-1] - (prev[m] ** 2 - prev[0] ** 2)))
+        error = max(
+            abs(nxt[0] - math.ldexp(-prev[m - 1] * prev[0], shift)),
+            abs(nxt[-2] - math.ldexp(prev[m] * prev[m - 1], shift)),
+            abs(nxt[-1] - math.ldexp(prev[m] ** 2 - prev[0] ** 2, shift)))
+        max_discrepancy = max(max_discrepancy,
+                              error / (max(map(abs, nxt)) or 1.0))
 
     return InductionReport(
         tau=tau, r=float(r), rows_checked=len(reduced),

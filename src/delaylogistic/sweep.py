@@ -31,6 +31,13 @@ class BracketingError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryPoint:
+    """Threshold at one delay.
+
+    ``method`` names the tests whose verdicts the bisection used, joined
+    by "+" in sorted order: "jury" when the coefficient test decided every
+    evaluation, "jury+oracle" when some fell back to the root oracle.
+    """
+
     tau: int
     r_critical: float
     bracket_width: float
@@ -70,9 +77,12 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> Bounda
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    methods_used: set[str] = set()
 
     def stable(r: float) -> bool:
-        return is_stable_nontrivial(tau, r, method).status == STABLE
+        verdict = is_stable_nontrivial(tau, r, method)
+        methods_used.add(verdict.method)
+        return verdict.status == STABLE
 
     r = _BRACKET_START
     if stable(r):
@@ -108,7 +118,8 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> Bounda
         else:
             hi = mid
     return BoundaryPoint(tau=tau, r_critical=0.5 * (lo + hi),
-                         bracket_width=hi - lo, method=method)
+                         bracket_width=hi - lo,
+                         method="+".join(sorted(methods_used)))
 
 
 def boundary_table(tau_max: int, tol: float = DEFAULT_TOL,

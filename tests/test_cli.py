@@ -138,6 +138,17 @@ def test_stability_jury_payload_lists_conditions(capsys):
     assert all(c["satisfied"] for c in payload["conditions"])
 
 
+def test_stability_long_delay_is_decided_by_the_table(capsys):
+    code, out, _ = _run(capsys, ["stability", "--tau", "20", "--r", "0.05",
+                                 "--point", "nontrivial"])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["verdict"] == {"status": "stable", "witness": None,
+                                  "method": "jury"}
+    assert len(payload["conditions"]) == 22
+    assert "root_moduli" not in payload
+
+
 def test_stability_oracle_payload_lists_root_moduli(capsys):
     code, out, _ = _run(capsys, ["stability", "--tau", "2", "--r", "0.7",
                                  "--point", "nontrivial", "--method", "oracle"])

@@ -75,6 +75,33 @@ def test_rows_recomputable_from_their_predecessor():
             assert nxt == rebuilt  # bitwise
 
 
+def test_table_rescales_deep_rows_by_exact_powers_of_two():
+    # at tau = 30 the rows shrink below 2**-256 before the last reduction
+    r = 2.0 * math.sin(math.pi / 122.0) * 0.5
+    table = jury_table(Polynomial((1.0, -1.0) + (0.0,) * 29 + (r,)))
+    assert len(table.rows) == 30
+    assert len(table.shifts) == len(table.rows)
+    rescaled = [i for i, shift in enumerate(table.shifts) if shift != 0]
+    assert rescaled
+    for i in rescaled:
+        row, nxt = table.rows[i - 1], table.rows[i]
+        m = len(row) - 1
+        rebuilt = [row[m] * row[k + 1] - row[m - 1 - k] * row[0]
+                   for k in range(m)]
+        factor = next(a / b for a, b in zip(nxt, rebuilt) if b != 0.0)
+        assert math.frexp(factor)[0] == 0.5  # an exact power of two
+        assert nxt == tuple(x * factor for x in rebuilt)  # bitwise
+        assert 1.0 <= max(abs(x) for x in nxt) < 2.0
+
+
+def test_table_singularity_is_relative_to_the_row_scale():
+    # the same stable cubic scaled by 1e-13: every entry is below 1e-12,
+    # yet nothing is singular
+    verdict = jury_verdict(Polynomial((1e-13, -1e-13, 0.0, 0.5e-13)))
+    assert verdict == jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.5)))
+    assert verdict.method == "jury" and verdict.status == STABLE
+
+
 def test_conditions_all_satisfied_inside_the_stable_range():
     conditions = jury_conditions(Polynomial((1.0, -1.0, 0.0, 0.5)))
     assert [c.index for c in conditions] == [1, 2, 3, 4]
@@ -223,3 +250,13 @@ def test_induction_holds_on_rate_grid_up_to_delay_ten():
             r = threshold * i / 8.0
             report = verify_sparse_induction(tau, r)
             assert report.sparse_pattern_holds and report.recurrences_hold, (tau, r)
+
+
+@pytest.mark.parametrize("tau", [17, 30, 200])
+@pytest.mark.parametrize("fraction", [0.5, 1.5])
+def test_induction_holds_through_rescaled_rows(tau, fraction):
+    threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+    report = verify_sparse_induction(tau, fraction * threshold)
+    assert report.rows_checked == tau - 1
+    assert report.sparse_pattern_holds
+    assert report.recurrences_hold

@@ -125,3 +125,33 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
         lambda tau, r, method=JURY: StabilityVerdict(UNSTABLE, 1, method))
     with pytest.raises(BracketingError):
         sweep.critical_r(2)
+
+
+@pytest.mark.parametrize("tau", [13, 17, 30, 60, 200])
+@pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
+def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
+    verdict = is_stable_nontrivial(tau, fraction * _candidate_threshold(tau))
+    assert verdict.method == JURY
+    assert verdict.status == expected
+
+
+@pytest.mark.parametrize("tau", [17, 30, 200])
+def test_critical_r_matches_closed_form_at_long_delay(tau):
+    point = critical_r(tau)
+    assert point.r_critical == pytest.approx(_candidate_threshold(tau), abs=1e-9)
+    assert point.method == JURY
+
+
+def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
+    from delaylogistic.jury import jury_verdict, oracle_verdict
+
+    monkeypatch.setattr(sweep, "jury_verdict", oracle_verdict)
+    assert critical_r(2).method == "oracle"
+
+    # the oracle decides only rates above 0.5; the bracket passes 0.8
+    monkeypatch.setattr(
+        sweep, "jury_verdict",
+        lambda p: oracle_verdict(p) if p.coeffs[-1] > 0.5 else jury_verdict(p))
+    point = critical_r(2)
+    assert point.method == "jury+oracle"
+    assert point.r_critical == pytest.approx(_candidate_threshold(2), abs=1e-9)

@@ -10,13 +10,18 @@ test per reduced row.
 
 The table is scale-free. Each product squares the row's magnitude, so
 left alone the rows of a deep table underflow (or overflow) within a few
-dozen reductions. A row whose largest magnitude leaves [2**-256, 2**256] is
-therefore multiplied by the power of two that brings that magnitude into
-[1, 2). The scaling changes only exponents, and the recurrence and every
-|last| > |first| condition are homogeneous in the row, so each verdict is
-the one the same table would give with unlimited exponent range. For the
-same reason a row counts as singular when its last entry is ~0 relative to
-the row's own largest magnitude, not in absolute terms.
+dozen reductions. A row, the input row included, whose largest magnitude
+leaves [2**-256, 2**256] is therefore multiplied by the power of two that
+brings that magnitude into [1, 2). The scaling changes only exponents, and
+the recurrence and every |last| > |first| condition are homogeneous in the
+row, so each verdict is the one the same table would give with unlimited
+exponent range (unless a product falls below the normal doubles, which
+takes factors hundreds of binary orders below their row's largest
+magnitude). For the same reason a row counts as singular when its last
+entry is ~0 relative to the magnitude it was computed at, not in absolute
+terms: the input row's largest coefficient, and for a reduced row the two
+products that formed its last entry, so a pivot that cancellation left at
+rounding noise is caught.
 
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
@@ -42,7 +47,8 @@ MARGINAL = "marginal"
 # so only a band relative to the operands reads the same at every depth.
 MARGIN_TOL = 1e-12
 
-# A row is singular when |last| <= _SINGULAR_TOL * max |row|.
+# A row is singular when |last| <= _SINGULAR_TOL times the magnitude that
+# last entry was computed at (see jury_table).
 _SINGULAR_TOL = 1e-12
 # A row is rescaled once its largest magnitude leaves this range. A
 # product squares the magnitude, so a row inside it cannot underflow or
@@ -66,8 +72,9 @@ class JuryTable:
     """Reduction rows; ``rows[0]`` is the input coefficient row.
 
     ``shifts[i]`` is the exponent of the power of two that row ``i`` was
-    multiplied by after its reduction: 0 for the input row and for every
-    row whose largest magnitude stayed within [2**-256, 2**256].
+    multiplied by (the input row as given, a reduced row after its
+    reduction): 0 for every row whose largest magnitude lay within
+    [2**-256, 2**256], which is the case for all ordinary inputs.
     """
 
     rows: tuple[tuple[float, ...], ...]
@@ -129,39 +136,51 @@ def jury_table(p: Polynomial) -> JuryTable:
     """Build the full reduction table down to the three-entry row.
 
     For a row ``(a_0, ..., a_m)`` the successor entries are
-    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``; a successor
-    whose largest magnitude leaves [2**-256, 2**256] is then multiplied by
-    the power of two that brings that magnitude into [1, 2), recorded in
-    ``shifts``. Raises :class:`SingularTableError` if a row that still
-    needs reduction has a last entry within 1e-12 of zero relative to the
-    row's largest magnitude, and :class:`TableNotApplicableError` for
-    degree < 2.
+    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``. A row (the
+    input row included) whose largest magnitude leaves [2**-256, 2**256]
+    is multiplied by the power of two that brings that magnitude into
+    [1, 2), recorded in ``shifts``. Raises :class:`SingularTableError` if a
+    row that still needs reduction has a last entry within 1e-12 of zero
+    relative to the input's largest coefficient (input row) or to
+    ``a_m**2 + a_0**2`` of the row it was reduced from (reduced rows), and
+    :class:`TableNotApplicableError` for degree < 2.
     """
     p = normalize_leading(p)
     if p.degree < 2:
         raise TableNotApplicableError(
             f"reduction table needs degree >= 2, got {p.degree}")
-    rows: list[tuple[float, ...]] = [p.coeffs]
-    shifts = [0]
-    peak = max(map(abs, p.coeffs))
-    while len(rows[-1]) > 3:
-        row = rows[-1]
+    row, shift = _in_range(p.coeffs)
+    rows = [row]
+    shifts = [shift]
+    # |last| is held against the magnitude it was computed at: the input
+    # row's largest coefficient, then last**2 + first**2 of the row before,
+    # so a last entry that cancellation left at rounding noise counts as 0.
+    scale = max(map(abs, row))
+    while len(row) > 3:
         m = len(row) - 1
         first, last = row[0], row[m]
-        if abs(last) <= _SINGULAR_TOL * peak:
+        if abs(last) <= _SINGULAR_TOL * scale:
             raise SingularTableError(
                 f"singular table: row {len(rows)} ends in {last:.3e}")
-        nxt = tuple([last * row[k + 1] - row[m - 1 - k] * first
-                     for k in range(m)])
-        peak = max(map(abs, nxt))
-        shift = 0
-        if peak != 0.0 and not _RESCALE_LOW <= peak <= _RESCALE_HIGH:
-            shift = 1 - math.frexp(peak)[1]
-            nxt = tuple([math.ldexp(c, shift) for c in nxt])
-            peak = math.ldexp(peak, shift)
-        rows.append(nxt)
+        row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
+                                      for k in range(m)]))
+        scale = math.ldexp(last * last + first * first, shift)
+        rows.append(row)
         shifts.append(shift)
     return JuryTable(tuple(rows), tuple(shifts))
+
+
+def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """Return ``row`` times ``2**shift`` and ``shift``.
+
+    ``shift`` is 0 while the largest magnitude lies in [2**-256, 2**256],
+    else the exponent that brings it into [1, 2).
+    """
+    peak = max(map(abs, row))
+    if peak == 0.0 or _RESCALE_LOW <= peak <= _RESCALE_HIGH:
+        return row, 0
+    shift = 1 - math.frexp(peak)[1]
+    return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
 def jury_conditions(p: Polynomial) -> list[ConditionResult]:

@@ -94,12 +94,29 @@ def test_table_rescales_deep_rows_by_exact_powers_of_two():
         assert 1.0 <= max(abs(x) for x in nxt) < 2.0
 
 
-def test_table_singularity_is_relative_to_the_row_scale():
-    # the same stable cubic scaled by 1e-13: every entry is below 1e-12,
-    # yet nothing is singular
-    verdict = jury_verdict(Polynomial((1e-13, -1e-13, 0.0, 0.5e-13)))
+@pytest.mark.parametrize("scale", [1e-13, 1e-170, 1e-300, 1e200, 1e300])
+def test_verdict_is_independent_of_the_input_scale(scale):
+    # the stable cubic 1, -1, 0, 0.5 scaled: below 1e-12 nothing is
+    # singular, and far outside [2**-256, 2**256] the input row is brought
+    # into range before its products can underflow or overflow
+    p = Polynomial((scale, -scale, 0.0, 0.5 * scale))
+    verdict = jury_verdict(p)
     assert verdict == jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.5)))
     assert verdict.method == "jury" and verdict.status == STABLE
+    table = jury_table(p)
+    assert table.rows[0] == tuple(math.ldexp(c, table.shifts[0])
+                                  for c in p.coeffs)
+    assert all(1.0 <= max(abs(x) for x in row) < 2.0 or shift == 0
+               for row, shift in zip(table.rows, table.shifts))
+
+
+def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
+    # nearly self-reciprocal: the first reduction cancels every entry down
+    # to ~1e-13, good to ~1e-3 relative, so the oracle decides
+    p = Polynomial((1.0, 0.3, -0.2, 0.3, 1.0 - 1e-13))
+    with pytest.raises(SingularTableError):
+        jury_table(p)
+    assert jury_verdict(p).method == "oracle"
 
 
 def test_conditions_all_satisfied_inside_the_stable_range():

@@ -2,7 +2,7 @@
 
 Every input is a flag (no config files, no environment), so a run is fully
 reproducible from its argv. Exit codes: 0 success, 1 usage error, 2
-numeric failure (non-convergence, bracketing failure, degenerate input).
+numeric failure (bracketing failure, degenerate or out-of-range input).
 """
 
 from __future__ import annotations
@@ -120,13 +120,11 @@ def _condition_payload(cond: jury.ConditionResult) -> dict:
             "tolerance": cond.tolerance}
 
 
-def _evidence_payload(p: polynomial.Polynomial,
-                      verdict: jury.StabilityVerdict) -> dict:
+def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     """What the verdict rests on: the conditions, or the root moduli."""
-    if verdict.method == sweep.JURY:
-        return {"conditions": [_condition_payload(c)
-                               for c in jury.jury_conditions(p)]}
-    moduli = sorted((abs(z) for z in polynomial.roots(p).roots), reverse=True)
+    if verdict.conditions is not None:
+        return {"conditions": [_condition_payload(c) for c in verdict.conditions]}
+    moduli = sorted((abs(z) for z in verdict.root_set.roots), reverse=True)
     return {"root_moduli": moduli}
 
 
@@ -166,7 +164,7 @@ def _cmd_stability(args: argparse.Namespace) -> str:
         "char_poly": list(p.coeffs),
         "verdict": _verdict_payload(verdict),
     }
-    payload.update(_evidence_payload(p, verdict))
+    payload.update(_evidence_payload(verdict))
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -217,15 +215,16 @@ def _cmd_jury(args: argparse.Namespace) -> str:
         "normalized_coeffs": list(normalized.coeffs),
         "verdict": _verdict_payload(verdict),
     }
-    try:
-        payload["table_rows"] = [list(row)
-                                 for row in jury.jury_table(normalized).rows]
-    except jury.TableNotApplicableError:
-        payload["table_rows"] = []
-    except jury.SingularTableError as exc:
-        payload["table_rows"] = None
-        payload["note"] = f"{exc}; verdict taken from the root oracle"
-    payload.update(_evidence_payload(normalized, verdict))
+    table = verdict.table
+    if table is not None:
+        payload["table_rows"] = [list(row) for row in table.rows]
+        payload["table_shifts"] = list(table.shifts)
+    elif verdict.reason is None:  # degree 1: no table to build
+        payload["table_rows"] = payload["table_shifts"] = []
+    else:
+        payload["table_rows"] = payload["table_shifts"] = None
+        payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
+    payload.update(_evidence_payload(verdict))
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -255,7 +254,6 @@ _COMMANDS = {
 
 _NUMERIC_ERRORS = (
     polynomial.DegeneratePolynomialError,
-    polynomial.RootConvergenceError,
     sweep.BracketingError,
     discretization.PoleError,
     ValueError,

@@ -23,18 +23,23 @@ terms: the input row's largest coefficient, and for a reduced row the two
 products that formed its last entry, so a pivot that cancellation left at
 rounding noise is caught.
 
+The boundary and outer-coefficient conditions are read off the table's
+input row, which is in range, so they cannot overflow either.
+
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
 (a zero pivot, such as the constant term of the all-zero fixed point's
-characteristic polynomial).
+characteristic polynomial). Each verdict carries the evidence it rests
+on: the conditions and the table, or the root set and, after a fallback,
+the reason the table could not decide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .polynomial import Polynomial, evaluate, normalize_leading, spectral_radius
+from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -101,17 +106,26 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Outcome of a stability test.
+    """Outcome of a stability test, with the evidence it rests on.
 
     ``status`` is one of stable / unstable / marginal. For an unstable
     coefficient-test verdict ``witness`` is the first failed condition
     index; for oracle verdicts it is the spectral radius. ``method``
     records which test produced the verdict ("jury" or "oracle").
+
+    The evidence fields do not take part in equality. A coefficient-test
+    verdict carries its ``conditions`` and, from degree 2, its ``table``;
+    an oracle verdict carries its ``root_set``, and ``reason`` says why
+    the table could not decide when the oracle stood in for it.
     """
 
     status: str
     witness: float | int | None
     method: str
+    conditions: tuple[ConditionResult, ...] | None = field(default=None, compare=False)
+    table: JuryTable | None = field(default=None, compare=False)
+    root_set: RootSet | None = field(default=None, compare=False)
+    reason: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -183,39 +197,46 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
-def jury_conditions(p: Polynomial) -> list[ConditionResult]:
+def jury_conditions(p: Polynomial,
+                    table: JuryTable | None = None) -> list[ConditionResult]:
     """Evaluate the ``degree + 1`` stability inequalities of ``p``.
 
     Degree 1 needs only the two boundary evaluations, degree 2 adds the
     outer-coefficient magnitude test, and each reduced row of the table
-    contributes one |last| > |first| test. A singular table propagates.
+    contributes one |last| > |first| test. All of them are evaluated on
+    rows in range: the first three on the input row brought into
+    [2**-256, 2**256] as the table does it. ``table`` is ``p``'s
+    reduction table when it has been built already; otherwise it is built
+    here from degree 2, and a singular table propagates.
     """
     p = normalize_leading(p)
     m = p.degree
     if m < 1:
         raise ValueError("stability conditions need degree >= 1")
+    if table is None and m >= 2:
+        table = jury_table(p)
+    top = table.rows[0] if table is not None else _in_range(p.coeffs)[0]
 
     results: list[ConditionResult] = []
     # boundary evaluations carry rounding noise ~ eps * sum |a_i|
-    boundary_scale = sum(abs(c) for c in p.coeffs)
-    value_at_one = evaluate(p, 1.0)
+    boundary_scale = sum(abs(c) for c in top)
+    top_poly = p if top == p.coeffs else Polynomial(top)  # rescaled input row
+    value_at_one = evaluate(top_poly, 1.0)
     results.append(_condition(1, "P(1) > 0",
                               lhs=value_at_one, rhs=0.0,
                               margin=value_at_one, scale=boundary_scale))
 
-    alternating = (-1.0) ** m * evaluate(p, -1.0)
+    alternating = (-1.0) ** m * evaluate(top_poly, -1.0)
     results.append(_condition(2, "(-1)^m P(-1) > 0",
                               lhs=alternating, rhs=0.0,
                               margin=alternating, scale=boundary_scale))
 
     if m >= 2:
         results.append(_condition(3, "|a_m| < a_0",
-                                  lhs=abs(p.coeffs[m]), rhs=p.coeffs[0],
-                                  margin=p.coeffs[0] - abs(p.coeffs[m]),
-                                  scale=max(abs(p.coeffs[m]), p.coeffs[0])))
-
-    if m >= 3:
-        for offset, row in enumerate(jury_table(p).rows[1:]):
+                                  lhs=abs(top[m]), rhs=top[0],
+                                  margin=top[0] - abs(top[m]),
+                                  scale=max(abs(top[m]), top[0])))
+        for offset, row in enumerate(table.rows[1:]):
             results.append(_condition(
                 4 + offset,
                 f"|last| > |first| on reduced row {offset + 1}",
@@ -236,12 +257,16 @@ def _condition(index: int, description: str, lhs: float, rhs: float,
 
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify by the largest root modulus, independent of the table."""
-    rho = spectral_radius(p)
+    root_set = roots(p)
+    rho = max(abs(z) for z in root_set.roots)
     if rho < 1.0 - MARGIN_TOL:
-        return StabilityVerdict(STABLE, witness=rho, method="oracle")
-    if rho > 1.0 + MARGIN_TOL:
-        return StabilityVerdict(UNSTABLE, witness=rho, method="oracle")
-    return StabilityVerdict(MARGINAL, witness=rho, method="oracle")
+        status = STABLE
+    elif rho > 1.0 + MARGIN_TOL:
+        status = UNSTABLE
+    else:
+        status = MARGINAL
+    return StabilityVerdict(status, witness=rho, method="oracle",
+                            root_set=root_set)
 
 
 def jury_verdict(p: Polynomial) -> StabilityVerdict:
@@ -251,20 +276,23 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     equality: the polynomial is then unstable no matter how the marginal
     ones resolve. With no clear failure, any condition inside its band
     yields a marginal verdict. A singular table delegates to the
-    root-modulus oracle.
+    root-modulus oracle, and the verdict's ``reason`` says why.
     """
     p = normalize_leading(p)
     try:
-        conditions = jury_conditions(p)
-    except SingularTableError:
-        return oracle_verdict(p)
+        table = jury_table(p) if p.degree >= 2 else None
+    except SingularTableError as exc:
+        return replace(oracle_verdict(p), reason=str(exc))
+    conditions = tuple(jury_conditions(p, table))
+    status, witness = STABLE, None
     for cond in conditions:
         if cond.margin < -cond.tolerance:
-            return StabilityVerdict(UNSTABLE, witness=cond.index, method="jury")
-    for cond in conditions:
-        if abs(cond.margin) <= cond.tolerance:
-            return StabilityVerdict(MARGINAL, witness=cond.index, method="jury")
-    return StabilityVerdict(STABLE, witness=None, method="jury")
+            status, witness = UNSTABLE, cond.index
+            break
+        if status == STABLE and abs(cond.margin) <= cond.tolerance:
+            status, witness = MARGINAL, cond.index
+    return StabilityVerdict(status, witness, "jury",
+                            conditions=conditions, table=table)
 
 
 def verify_sparse_induction(tau: int, r: float) -> InductionReport:

@@ -1,40 +1,21 @@
 """Real-coefficient polynomials plus a root-modulus oracle.
 
 Coefficients are stored in descending powers: ``coeffs[0]`` multiplies the
-highest power and the degree is ``len(coeffs) - 1``. The root finder is a
-Weierstrass/Durand-Kerner simultaneous iteration written against builtin
-complex arithmetic only, so it stays independent of the coefficient-based
-stability tests that it cross-checks.
+highest power and the degree is ``len(coeffs) - 1``. The roots are the
+eigenvalues of the companion matrix, so the oracle shares no code with
+the coefficient-based stability tests that it cross-checks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-CONVERGENCE_TOL = 1e-12
-MAX_ITERATIONS = 1000
-
-# Fixed irrational rotation of the initial root circle. Breaks the symmetry
-# that would otherwise let e.g. even or sign-symmetric polynomials trap the
-# iteration in a symmetric configuration.
-_PHASE = math.sqrt(2.0)
+import numpy as np
 
 
 class DegeneratePolynomialError(ValueError):
     """Zero leading coefficient: degree and root count are ill-defined."""
-
-
-class RootConvergenceError(RuntimeError):
-    """Iteration cap reached; carries the best iterate for diagnosis."""
-
-    def __init__(self, message: str, roots: tuple[complex, ...], residual: float,
-                 iterations: int):
-        super().__init__(message)
-        self.roots = roots
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -63,10 +44,11 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots of a polynomial with convergence diagnostics.
+    """All complex roots of a polynomial with an accuracy diagnostic.
 
     ``residual`` is max |P(root)| over the reported roots, evaluated on the
-    original coefficients; ``iterations`` counts full correction sweeps.
+    original coefficients; ``iterations`` counts correction sweeps, which
+    is 0 for the direct eigenvalue solve.
     """
 
     roots: tuple[complex, ...]
@@ -99,67 +81,22 @@ def normalize_leading(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(-c for c in p.coeffs))
 
 
-def roots(p: Polynomial, tol: float = CONVERGENCE_TOL,
-          max_iterations: int = MAX_ITERATIONS) -> RootSet:
-    """Find all complex roots by simultaneous (Durand-Kerner) iteration.
+def roots(p: Polynomial) -> RootSet:
+    """Find all complex roots as the eigenvalues of the companion matrix.
 
-    Initial guesses sit on the Cauchy-bound circle of radius
-    ``1 + max |a_i / a_0|``, rotated by a fixed irrational phase. A sweep
-    updates every root in place; iteration stops once the largest
-    correction falls below ``tol``. Repeated roots converge slowly and are
-    accepted with degraded accuracy (no polishing); the residual is always
-    reported so callers can judge.
+    A direct solve with ``numpy.roots``: trailing zero coefficients come
+    out as exact zero roots, and a leading coefficient so small that the
+    monic coefficients overflow raises ``numpy.linalg.LinAlgError`` (a
+    ``ValueError``).
     """
     if p.coeffs[0] == 0.0:
         raise DegeneratePolynomialError(
             f"cannot root-find with zero leading coefficient: {p.coeffs!r}")
-    n = p.degree
-    if n < 1:
+    if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-
-    monic = [c / p.coeffs[0] for c in p.coeffs]
-    if n == 1:
-        root = -monic[1]
-        return RootSet((complex(root),), residual=abs(evaluate(p, complex(root))),
-                       iterations=0)
-
-    radius = 1.0 + max(abs(c) for c in monic[1:])
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + _PHASE)) for k in range(n)]
-
-    def monic_value(x: complex) -> complex:
-        acc = 0j
-        for c in monic:
-            acc = acc * x + c
-        return acc
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        max_correction = 0.0
-        for i in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= z[i] - z[j]
-            if denom == 0:
-                # collided iterates: nudge apart and keep sweeping
-                z[i] += tol * (1.0 + abs(z[i]))
-                max_correction = max(max_correction, tol)
-                continue
-            correction = monic_value(z[i]) / denom
-            z[i] -= correction
-            max_correction = max(max_correction, abs(correction))
-        if max_correction < tol:
-            converged = True
-            break
-
-    found = tuple(z)
-    residual = max(abs(evaluate(p, zi)) for zi in found)
-    if not converged:
-        raise RootConvergenceError(
-            f"root iteration did not converge within {max_iterations} sweeps "
-            f"(residual {residual:.3e})", found, residual, iterations)
-    return RootSet(found, residual=residual, iterations=iterations)
+    found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
+    residual = max(abs(evaluate(p, z)) for z in found)
+    return RootSet(found, residual=residual, iterations=0)
 
 
 def spectral_radius(p: Polynomial) -> float:

@@ -1,8 +1,11 @@
 import json
+import math
+import sys
+from collections import Counter
 
 import pytest
 
-from delaylogistic import cli
+from delaylogistic import cli, jury, polynomial
 from delaylogistic.delay_map import DelayParams, step
 
 
@@ -174,6 +177,7 @@ def test_jury_subcommand_low_degree_has_empty_table(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["table_rows"] == []
+    assert payload["table_shifts"] == []
     assert payload["verdict"]["status"] == "stable"
 
 
@@ -182,9 +186,76 @@ def test_jury_subcommand_singular_table_notes_fallback(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["table_rows"] is None
+    assert payload["table_shifts"] is None
     assert "singular" in payload["note"]
     assert payload["verdict"]["method"] == "oracle"
     assert "root_moduli" in payload
+
+
+def test_jury_payload_carries_the_row_shifts(capsys):
+    # tau = 30 delay polynomial at half its threshold: row 19 is scaled by
+    # 2**503, and the payload alone recomputes it from row 18
+    r = 2.0 * math.sin(math.pi / 122.0) * 0.5
+    coeffs = (1.0, -1.0) + (0.0,) * 29 + (r,)
+    code, out, _ = _run(capsys, ["jury", "--coeffs", ",".join(map(repr, coeffs))])
+    payload = json.loads(out)
+    assert code == 0
+    rows, shifts = payload["table_rows"], payload["table_shifts"]
+    assert len(shifts) == len(rows) == 30
+    assert [i for i, shift in enumerate(shifts) if shift] == [19]
+    assert shifts[19] == 503
+    row = rows[18]
+    m = len(row) - 1
+    assert rows[19] == [math.ldexp(row[m] * row[k + 1] - row[m - 1 - k] * row[0], 503)
+                        for k in range(m)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_jury_overflowing_root_oracle_is_numeric_failure(capsys):
+    # the singular table sends this to the oracle, whose monic coefficients
+    # overflow: exit 2 and no output, not a NaN witness
+    code, out, err = _run(capsys, ["jury", "--coeffs", "1e-310,1,0,0"])
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of the named package functions wherever they are looked up."""
+    counts: Counter[str] = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and name.startswith("delaylogistic")]
+    for owner, name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("argv, tables, roots", [
+    (["jury", "--coeffs", "1,-1,0,0.5"], 1, 0),
+    (["jury", "--coeffs", "1,1,0,0,1.25,0.5"], 1, 1),
+    (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"], 1, 0),
+    (["stability", "--tau", "12", "--r", "-1", "--point", "trivial"], 1, 1),
+    (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial",
+      "--method", "oracle"], 0, 1),
+], ids=["jury", "jury-singular", "stability", "stability-trivial",
+        "stability-oracle"])
+def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
+                                                    tables, roots):
+    counts = _count_calls(monkeypatch, [(jury, "jury_table"),
+                                        (polynomial, "roots")])
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert counts["jury_table"] == tables
+    assert counts["roots"] == roots
 
 
 def test_jury_degenerate_polynomial_is_numeric_failure(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
     SingularTableError,
+    StabilityVerdict,
     TableNotApplicableError,
     jury_conditions,
     jury_table,
@@ -94,7 +96,8 @@ def test_table_rescales_deep_rows_by_exact_powers_of_two():
         assert 1.0 <= max(abs(x) for x in nxt) < 2.0
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-170, 1e-300, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e-13, 1e-170, 1e-300, 1e200, 1e300,
+                                   1e308, 1.7e308])
 def test_verdict_is_independent_of_the_input_scale(scale):
     # the stable cubic 1, -1, 0, 0.5 scaled: below 1e-12 nothing is
     # singular, and far outside [2**-256, 2**256] the input row is brought
@@ -108,6 +111,19 @@ def test_verdict_is_independent_of_the_input_scale(scale):
                                   for c in p.coeffs)
     assert all(1.0 <= max(abs(x) for x in row) < 2.0 or shift == 0
                for row, shift in zip(table.rows, table.shifts))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.9), (1.0, -1.0, 0.5)])
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e300, 1e308, 1.7e308])
+def test_low_degree_verdict_is_independent_of_the_input_scale(coeffs, scale):
+    # the boundary conditions are evaluated on the input row brought into
+    # range, so P(1) cannot overflow to inf near the top of the doubles
+    p = Polynomial(tuple(scale * c for c in coeffs))
+    verdict = jury_verdict(p)
+    assert verdict == jury_verdict(Polynomial(coeffs))
+    assert verdict.status == STABLE and verdict.method == "jury"
+    assert all(math.isfinite(c.margin) and math.isfinite(c.tolerance)
+               for c in verdict.conditions)
 
 
 def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
@@ -199,6 +215,36 @@ def test_verdict_falls_back_to_oracle_on_singular_table():
     assert verdict.method == "oracle"
     assert verdict.status == UNSTABLE
     assert verdict.witness == pytest.approx(spectral_radius(p), abs=1e-9)
+
+
+def test_table_verdict_carries_its_table_and_conditions():
+    p = Polynomial((1.0, -1.0, 0.0, 0.7))
+    verdict = jury_verdict(p)
+    assert verdict.method == "jury" and verdict.status == UNSTABLE
+    assert verdict.table == jury_table(p)
+    assert list(verdict.conditions) == jury_conditions(p)
+    assert verdict.root_set is None and verdict.reason is None
+    low = jury_verdict(Polynomial((1.0, 0.999)))
+    assert low.table is None and len(low.conditions) == 2
+
+
+def test_fallback_verdict_carries_its_roots_and_reason():
+    p = Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5))
+    verdict = jury_verdict(p)
+    assert verdict.method == "oracle"
+    assert verdict.reason.startswith("singular table: row 3")
+    assert verdict.conditions is None and verdict.table is None
+    assert len(verdict.root_set.roots) == 5
+    assert verdict.witness == max(abs(z) for z in verdict.root_set.roots)
+    assert oracle_verdict(p).reason is None
+
+
+def test_verdict_equality_ignores_the_evidence():
+    p = Polynomial((1.0, -1.0, 0.5))
+    verdict = jury_verdict(p)
+    assert verdict == StabilityVerdict(STABLE, None, "jury")
+    assert verdict == replace(verdict, conditions=(), table=None, reason="x")
+    assert hash(verdict) == hash(StabilityVerdict(STABLE, None, "jury"))
 
 
 def test_oracle_verdict_classifies_by_radius():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from delaylogistic.polynomial import (
     DegeneratePolynomialError,
     Polynomial,
-    RootConvergenceError,
     evaluate,
     normalize_leading,
     roots,
@@ -72,7 +72,6 @@ def test_roots_quadratic_matches_quadratic_formula():
     assert got[0] == pytest.approx(0.5 - 0.5j, abs=1e-12)
     assert got[1] == pytest.approx(0.5 + 0.5j, abs=1e-12)
     assert result.residual <= 1e-12
-    assert result.iterations >= 1
 
 
 def test_roots_repeated_zero_root_degraded_but_small():
@@ -89,15 +88,6 @@ def test_roots_zero_leading_rejected():
 def test_roots_constant_rejected():
     with pytest.raises(ValueError):
         roots(Polynomial((3.0,)))
-
-
-def test_non_convergence_carries_best_iterate():
-    with pytest.raises(RootConvergenceError) as info:
-        roots(Polynomial((1.0, -1.0, 0.5)), max_iterations=1)
-    err = info.value
-    assert len(err.roots) == 2
-    assert err.iterations == 1
-    assert err.residual > 0.0
 
 
 @pytest.mark.parametrize("coeffs, expected", [
@@ -139,13 +129,16 @@ def _assert_root_sets_match(ours, theirs, tol):
 
 
 def test_roots_agree_with_companion_eigenvalues():
+    # the companion eigenvalues against an independent reference: mpmath's
+    # Durand-Kerner iteration at 40 digits
     rng = random.Random(994)
-    for _ in range(100):
-        coeffs = _random_coeffs(rng, rng.randint(2, 8))
-        ours = roots(Polynomial(coeffs)).roots
-        ref = np.roots(coeffs)
-        scale = max(1.0, max(abs(z) for z in ref))
-        _assert_root_sets_match(ours, list(ref), 1e-8 * scale)
+    with mpmath.workdps(40):
+        for _ in range(100):
+            coeffs = _random_coeffs(rng, rng.randint(2, 8))
+            ours = roots(Polynomial(coeffs)).roots
+            ref = [complex(z) for z in mpmath.polyroots(coeffs, extraprec=60)]
+            scale = max(1.0, max(abs(z) for z in ref))
+            _assert_root_sets_match(ours, ref, 1e-8 * scale)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

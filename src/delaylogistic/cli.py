@@ -121,11 +121,16 @@ def _condition_payload(cond: jury.ConditionResult) -> dict:
 
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
-    """What the verdict rests on: the conditions, or the root moduli."""
+    """What the verdict rests on: the conditions, or the root moduli and,
+    after a fallback, why the table could not decide."""
     if verdict.conditions is not None:
         return {"conditions": [_condition_payload(c) for c in verdict.conditions]}
-    moduli = sorted((abs(z) for z in verdict.root_set.roots), reverse=True)
-    return {"root_moduli": moduli}
+    payload: dict = {}
+    if verdict.reason is not None:
+        payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
+    payload["root_moduli"] = sorted((abs(z) for z in verdict.root_set.roots),
+                                    reverse=True)
+    return payload
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
@@ -215,15 +220,9 @@ def _cmd_jury(args: argparse.Namespace) -> str:
         "normalized_coeffs": list(normalized.coeffs),
         "verdict": _verdict_payload(verdict),
     }
-    table = verdict.table
-    if table is not None:
-        payload["table_rows"] = [list(row) for row in table.rows]
-        payload["table_shifts"] = list(table.shifts)
-    elif verdict.reason is None:  # degree 1: no table to build
-        payload["table_rows"] = payload["table_shifts"] = []
-    else:
-        payload["table_rows"] = payload["table_shifts"] = None
-        payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
+    table = verdict.table  # None when the table was singular
+    payload["table_rows"] = None if table is None else [list(row) for row in table.rows]
+    payload["table_shifts"] = None if table is None else list(table.shifts)
     payload.update(_evidence_payload(verdict))
     return json.dumps(payload, indent=2) + "\n"
 

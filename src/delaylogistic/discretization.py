@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jury import MARGINAL, STABLE, UNSTABLE, StabilityVerdict
+from .jury import StabilityVerdict, classify_modulus
 
 FORWARD = "forward"
 RATIO = "ratio"
 
+# The ratio map's denominator counts as zero within this band.
 _TOL = 1e-12
 
 
@@ -68,12 +69,8 @@ def ratio_step(p: SchemeParams, x: float) -> float:
 
 
 def _classify(derivative: float) -> StabilityVerdict:
-    magnitude = abs(derivative)
-    if magnitude < 1.0 - _TOL:
-        return StabilityVerdict(STABLE, witness=derivative, method="derivative")
-    if magnitude > 1.0 + _TOL:
-        return StabilityVerdict(UNSTABLE, witness=derivative, method="derivative")
-    return StabilityVerdict(MARGINAL, witness=derivative, method="derivative")
+    return StabilityVerdict(classify_modulus(abs(derivative)), witness=derivative,
+                            method="derivative")
 
 
 def scheme_stability(p: SchemeParams) -> tuple[StabilityVerdict, StabilityVerdict]:

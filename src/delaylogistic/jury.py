@@ -1,12 +1,13 @@
 """Coefficient-based unit-circle stability test with a determinant table.
 
-A polynomial of degree ``m >= 3`` is reduced row by row: each new row entry
+A polynomial of degree ``m >= 1`` is reduced row by row: each new row entry
 is the 2x2 determinant pairing the previous row's outer entries with a
 mirrored interior pair, and each row comes out one entry shorter, down to a
-final three-entry row. Stability of the root set (all moduli < 1) is
-equivalent to ``m + 1`` strict inequalities: two boundary evaluations at
-+1 and -1, a magnitude test on the outer coefficients, and one magnitude
-test per reduced row.
+final three-entry row (at degrees 1 and 2 the table is the input row
+alone). Stability of the root set (all moduli < 1) is equivalent to
+``m + 1`` strict inequalities, all read off the table: on the input row,
+two boundary evaluations at +1 and -1 and, from degree 2, a magnitude test
+on the outer coefficients; then one magnitude test per reduced row.
 
 The table is scale-free. Each product squares the row's magnitude, so
 left alone the rows of a deep table underflow (or overflow) within a few
@@ -21,17 +22,17 @@ magnitude). For the same reason a row counts as singular when its last
 entry is ~0 relative to the magnitude it was computed at, not in absolute
 terms: the input row's largest coefficient, and for a reduced row the two
 products that formed its last entry, so a pivot that cancellation left at
-rounding noise is caught.
-
-The boundary and outer-coefficient conditions are read off the table's
-input row, which is in range, so they cannot overflow either.
+rounding noise is caught. Since the input row is in range too, the
+boundary conditions cannot overflow either.
 
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
 (a zero pivot, such as the constant term of the all-zero fixed point's
-characteristic polynomial). Each verdict carries the evidence it rests
-on: the conditions and the table, or the root set and, after a fallback,
-the reason the table could not decide.
+characteristic polynomial). Both verdicts, and any other test that
+compares a modulus with 1, apply the one unit-circle rule of
+:func:`classify_modulus`. Each verdict carries the evidence it rests on:
+the conditions and the table, or the root set and, after a fallback, the
+reason the table could not decide.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .delay_map import NONTRIVIAL, DelayParams, char_poly
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
 STABLE = "stable"
@@ -62,10 +64,6 @@ _RESCALE_LOW = 2.0 ** -256
 _RESCALE_HIGH = 2.0 ** 256
 # verify_sparse_induction: largest recurrence error, relative to the row.
 _RECURRENCE_TOL = 1e-9
-
-
-class TableNotApplicableError(ValueError):
-    """Degree below 2: the reduction table is empty by construction."""
 
 
 class SingularTableError(RuntimeError):
@@ -114,9 +112,9 @@ class StabilityVerdict:
     records which test produced the verdict ("jury" or "oracle").
 
     The evidence fields do not take part in equality. A coefficient-test
-    verdict carries its ``conditions`` and, from degree 2, its ``table``;
-    an oracle verdict carries its ``root_set``, and ``reason`` says why
-    the table could not decide when the oracle stood in for it.
+    verdict carries its ``conditions`` and its ``table``; an oracle
+    verdict carries its ``root_set``, and ``reason`` says why the table
+    could not decide when the oracle stood in for it.
     """
 
     status: str
@@ -149,7 +147,8 @@ class InductionReport:
 def jury_table(p: Polynomial) -> JuryTable:
     """Build the full reduction table down to the three-entry row.
 
-    For a row ``(a_0, ..., a_m)`` the successor entries are
+    At degrees 1 and 2 the table is the input row alone. For a row
+    ``(a_0, ..., a_m)`` the successor entries are
     ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``. A row (the
     input row included) whose largest magnitude leaves [2**-256, 2**256]
     is multiplied by the power of two that brings that magnitude into
@@ -157,12 +156,11 @@ def jury_table(p: Polynomial) -> JuryTable:
     row that still needs reduction has a last entry within 1e-12 of zero
     relative to the input's largest coefficient (input row) or to
     ``a_m**2 + a_0**2`` of the row it was reduced from (reduced rows), and
-    :class:`TableNotApplicableError` for degree < 2.
+    ``ValueError`` for degree 0.
     """
     p = normalize_leading(p)
-    if p.degree < 2:
-        raise TableNotApplicableError(
-            f"reduction table needs degree >= 2, got {p.degree}")
+    if p.degree < 1:
+        raise ValueError(f"reduction table needs degree >= 1, got {p.degree}")
     row, shift = _in_range(p.coeffs)
     rows = [row]
     shifts = [shift]
@@ -174,8 +172,8 @@ def jury_table(p: Polynomial) -> JuryTable:
         m = len(row) - 1
         first, last = row[0], row[m]
         if abs(last) <= _SINGULAR_TOL * scale:
-            raise SingularTableError(
-                f"singular table: row {len(rows)} ends in {last:.3e}")
+            name = f"reduced row {len(rows) - 1}" if len(rows) > 1 else "input row"
+            raise SingularTableError(f"singular table: {name} ends in {last:.3e}")
         row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
                                       for k in range(m)]))
         scale = math.ldexp(last * last + first * first, shift)
@@ -197,30 +195,21 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
-def jury_conditions(p: Polynomial,
-                    table: JuryTable | None = None) -> list[ConditionResult]:
-    """Evaluate the ``degree + 1`` stability inequalities of ``p``.
+def jury_conditions(table: JuryTable) -> list[ConditionResult]:
+    """Read the ``degree + 1`` stability inequalities off ``table``.
 
     Degree 1 needs only the two boundary evaluations, degree 2 adds the
-    outer-coefficient magnitude test, and each reduced row of the table
-    contributes one |last| > |first| test. All of them are evaluated on
-    rows in range: the first three on the input row brought into
-    [2**-256, 2**256] as the table does it. ``table`` is ``p``'s
-    reduction table when it has been built already; otherwise it is built
-    here from degree 2, and a singular table propagates.
+    outer-coefficient magnitude test, and each reduced row contributes one
+    |last| > |first| test. The first three are evaluated on the input row,
+    which the table has brought into [2**-256, 2**256].
     """
-    p = normalize_leading(p)
-    m = p.degree
-    if m < 1:
-        raise ValueError("stability conditions need degree >= 1")
-    if table is None and m >= 2:
-        table = jury_table(p)
-    top = table.rows[0] if table is not None else _in_range(p.coeffs)[0]
+    top = table.rows[0]
+    m = len(top) - 1
+    top_poly = Polynomial(top)
 
     results: list[ConditionResult] = []
     # boundary evaluations carry rounding noise ~ eps * sum |a_i|
     boundary_scale = sum(abs(c) for c in top)
-    top_poly = p if top == p.coeffs else Polynomial(top)  # rescaled input row
     value_at_one = evaluate(top_poly, 1.0)
     results.append(_condition(1, "P(1) > 0",
                               lhs=value_at_one, rhs=0.0,
@@ -236,13 +225,13 @@ def jury_conditions(p: Polynomial,
                                   lhs=abs(top[m]), rhs=top[0],
                                   margin=top[0] - abs(top[m]),
                                   scale=max(abs(top[m]), top[0])))
-        for offset, row in enumerate(table.rows[1:]):
-            results.append(_condition(
-                4 + offset,
-                f"|last| > |first| on reduced row {offset + 1}",
-                lhs=abs(row[-1]), rhs=abs(row[0]),
-                margin=abs(row[-1]) - abs(row[0]),
-                scale=max(abs(row[-1]), abs(row[0]))))
+    for offset, row in enumerate(table.rows[1:]):
+        results.append(_condition(
+            4 + offset,
+            f"|last| > |first| on reduced row {offset + 1}",
+            lhs=abs(row[-1]), rhs=abs(row[0]),
+            margin=abs(row[-1]) - abs(row[0]),
+            scale=max(abs(row[-1]), abs(row[0]))))
     return results
 
 
@@ -255,17 +244,20 @@ def _condition(index: int, description: str, lhs: float, rhs: float,
                            margin=margin, tolerance=tolerance)
 
 
+def classify_modulus(modulus: float) -> str:
+    """The unit-circle rule: marginal within MARGIN_TOL of 1."""
+    if modulus < 1.0 - MARGIN_TOL:
+        return STABLE
+    if modulus > 1.0 + MARGIN_TOL:
+        return UNSTABLE
+    return MARGINAL
+
+
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify by the largest root modulus, independent of the table."""
     root_set = roots(p)
     rho = max(abs(z) for z in root_set.roots)
-    if rho < 1.0 - MARGIN_TOL:
-        status = STABLE
-    elif rho > 1.0 + MARGIN_TOL:
-        status = UNSTABLE
-    else:
-        status = MARGINAL
-    return StabilityVerdict(status, witness=rho, method="oracle",
+    return StabilityVerdict(classify_modulus(rho), witness=rho, method="oracle",
                             root_set=root_set)
 
 
@@ -278,12 +270,11 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     yields a marginal verdict. A singular table delegates to the
     root-modulus oracle, and the verdict's ``reason`` says why.
     """
-    p = normalize_leading(p)
     try:
-        table = jury_table(p) if p.degree >= 2 else None
+        table = jury_table(p)
     except SingularTableError as exc:
         return replace(oracle_verdict(p), reason=str(exc))
-    conditions = tuple(jury_conditions(p, table))
+    conditions = tuple(jury_conditions(table))
     status, witness = STABLE, None
     for cond in conditions:
         if cond.margin < -cond.tolerance:
@@ -315,8 +306,7 @@ def verify_sparse_induction(tau: int, r: float) -> InductionReport:
     """
     if tau < 2:
         raise ValueError("need tau >= 2 so the table has a reduced row")
-    p = Polynomial((1.0, -1.0) + (0.0,) * (tau - 1) + (float(r),))
-    table = jury_table(p)
+    table = jury_table(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
     reduced = table.rows[1:]
 
     sparse = True

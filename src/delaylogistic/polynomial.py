@@ -85,15 +85,17 @@ def roots(p: Polynomial) -> RootSet:
     """Find all complex roots as the eigenvalues of the companion matrix.
 
     A direct solve with ``numpy.roots``: trailing zero coefficients come
-    out as exact zero roots, and a leading coefficient so small that the
-    monic coefficients overflow raises ``numpy.linalg.LinAlgError`` (a
-    ``ValueError``).
+    out as exact zero roots. A leading coefficient so small that the
+    monic coefficients overflow raises ``ValueError``.
     """
     if p.coeffs[0] == 0.0:
         raise DegeneratePolynomialError(
             f"cannot root-find with zero leading coefficient: {p.coeffs!r}")
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
+    if not math.isfinite(max(map(abs, p.coeffs[1:])) / p.coeffs[0]):
+        raise ValueError(f"cannot root-find {p.coeffs!r}: dividing by the leading "
+                         f"coefficient {p.coeffs[0]!r} overflows the monic form")
     found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
     residual = max(abs(evaluate(p, z)) for z in found)
     return RootSet(found, residual=residual, iterations=0)

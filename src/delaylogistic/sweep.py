@@ -9,7 +9,6 @@ supremum from below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .delay_map import NONTRIVIAL, DelayParams, char_poly
@@ -56,8 +55,6 @@ def is_stable_nontrivial(tau: int, r: float, method: str = JURY) -> StabilityVer
     ``method`` selects the coefficient test or the root-modulus oracle;
     the characteristic polynomial does not involve K.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
     p = char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL)
     if method == JURY:
         return jury_verdict(p)
@@ -122,8 +119,7 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> Bounda
                          method="+".join(sorted(methods_used)))
 
 
-def boundary_table(tau_max: int, tol: float = DEFAULT_TOL,
-                   method: str = JURY) -> BoundaryTable:
+def boundary_table(tau_max: int, tol: float = DEFAULT_TOL) -> BoundaryTable:
     """Thresholds for tau = 0 .. tau_max plus a strict-monotonicity flag.
 
     Strictness is judged with a slack of ``10 * tol`` so that adjacent
@@ -131,8 +127,7 @@ def boundary_table(tau_max: int, tol: float = DEFAULT_TOL,
     """
     if tau_max < 0:
         raise ValueError(f"tau_max must be >= 0, got {tau_max}")
-    points = tuple(critical_r(tau, tol=tol, method=method)
-                   for tau in range(tau_max + 1))
+    points = tuple(critical_r(tau, tol=tol) for tau in range(tau_max + 1))
     monotone = all(later.r_critical < earlier.r_critical - 10.0 * tol
                    for earlier, later in zip(points, points[1:]))
     return BoundaryTable(points=points, monotone_decreasing=monotone)

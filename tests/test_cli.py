@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -172,12 +173,12 @@ def test_jury_subcommand_full_payload(capsys):
     assert len(payload["conditions"]) == 4
 
 
-def test_jury_subcommand_low_degree_has_empty_table(capsys):
+def test_jury_subcommand_low_degree_table_is_the_input_row(capsys):
     code, out, _ = _run(capsys, ["jury", "--coeffs", "1,0.999"])
     payload = json.loads(out)
     assert code == 0
-    assert payload["table_rows"] == []
-    assert payload["table_shifts"] == []
+    assert payload["table_rows"] == [[1.0, 0.999]]
+    assert payload["table_shifts"] == [0]
     assert payload["verdict"]["status"] == "stable"
 
 
@@ -210,14 +211,34 @@ def test_jury_payload_carries_the_row_shifts(capsys):
                         for k in range(m)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_jury_overflowing_root_oracle_is_numeric_failure(capsys):
     # the singular table sends this to the oracle, whose monic coefficients
-    # overflow: exit 2 and no output, not a NaN witness
-    code, out, err = _run(capsys, ["jury", "--coeffs", "1e-310,1,0,0"])
+    # overflow: exit 2 and no output, not a NaN witness, and the message
+    # names the input and the cause before numpy can warn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["jury", "--coeffs", "1e-310,1,0,0"])
     assert code == 2
     assert out == ""
     assert "error" in err
+    assert "(1e-310, 1.0, 0.0, 0.0)" in err and "overflows the monic form" in err
+    assert [str(w.message) for w in caught] == []
+
+
+def test_stability_notes_why_the_oracle_decided(capsys):
+    code, out, _ = _run(capsys, ["stability", "--tau", "12", "--r", "-1",
+                                 "--point", "trivial"])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["verdict"]["method"] == "oracle"
+    assert payload["note"].startswith("singular table: input row")
+    assert list(payload)[-2:] == ["note", "root_moduli"]
+    for argv in (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"],
+                 ["stability", "--tau", "12", "--r", "-1", "--point", "trivial",
+                  "--method", "oracle"]):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert "note" not in json.loads(out)
 
 
 def _count_calls(monkeypatch, names):

@@ -10,7 +10,6 @@ from delaylogistic.jury import (
     UNSTABLE,
     SingularTableError,
     StabilityVerdict,
-    TableNotApplicableError,
     jury_conditions,
     jury_table,
     jury_verdict,
@@ -43,9 +42,12 @@ def test_table_normalizes_negative_leading():
     assert table.rows[0] == (1.0, -1.0, -0.0, 0.5)
 
 
-def test_table_rejects_low_degree():
-    with pytest.raises(TableNotApplicableError):
-        jury_table(Polynomial((1.0, 0.5)))
+def test_table_of_degree_one_is_its_input_row():
+    table = jury_table(Polynomial((1.0, 0.5)))
+    assert table.rows == ((1.0, 0.5),)
+    assert table.shifts == (0,)
+    with pytest.raises(ValueError):
+        jury_table(Polynomial((1.0,)))
 
 
 def test_table_rejects_zero_leading():
@@ -136,13 +138,13 @@ def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
 
 
 def test_conditions_all_satisfied_inside_the_stable_range():
-    conditions = jury_conditions(Polynomial((1.0, -1.0, 0.0, 0.5)))
+    conditions = jury_conditions(jury_table(Polynomial((1.0, -1.0, 0.0, 0.5))))
     assert [c.index for c in conditions] == [1, 2, 3, 4]
     assert all(c.satisfied for c in conditions)
 
 
 def test_conditions_reduced_row_failure_outside_the_range():
-    conditions = jury_conditions(Polynomial((1.0, -1.0, 0.0, 0.7)))
+    conditions = jury_conditions(jury_table(Polynomial((1.0, -1.0, 0.0, 0.7))))
     last = conditions[3]
     assert last.index == 4
     assert last.lhs == pytest.approx(abs(0.7 ** 2 - 1.0))
@@ -152,7 +154,7 @@ def test_conditions_reduced_row_failure_outside_the_range():
 
 
 def test_conditions_degree_one_only_boundary_checks():
-    conditions = jury_conditions(Polynomial((1.0, 0.999)))
+    conditions = jury_conditions(jury_table(Polynomial((1.0, 0.999))))
     assert [c.index for c in conditions] == [1, 2]
     assert conditions[0].lhs == pytest.approx(1.999)
     assert conditions[1].lhs == pytest.approx(0.001)
@@ -166,7 +168,7 @@ def test_condition_count_is_degree_plus_one():
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(degree + 1)]
         coeffs[0] = abs(coeffs[0]) + 0.5
         try:
-            conditions = jury_conditions(Polynomial(coeffs))
+            conditions = jury_conditions(jury_table(Polynomial(coeffs)))
         except SingularTableError:
             continue
         assert len(conditions) == degree + 1
@@ -222,17 +224,17 @@ def test_table_verdict_carries_its_table_and_conditions():
     verdict = jury_verdict(p)
     assert verdict.method == "jury" and verdict.status == UNSTABLE
     assert verdict.table == jury_table(p)
-    assert list(verdict.conditions) == jury_conditions(p)
+    assert list(verdict.conditions) == jury_conditions(jury_table(p))
     assert verdict.root_set is None and verdict.reason is None
     low = jury_verdict(Polynomial((1.0, 0.999)))
-    assert low.table is None and len(low.conditions) == 2
+    assert low.table.rows == ((1.0, 0.999),) and len(low.conditions) == 2
 
 
 def test_fallback_verdict_carries_its_roots_and_reason():
     p = Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5))
     verdict = jury_verdict(p)
     assert verdict.method == "oracle"
-    assert verdict.reason.startswith("singular table: row 3")
+    assert verdict.reason.startswith("singular table: reduced row 2")
     assert verdict.conditions is None and verdict.table is None
     assert len(verdict.root_set.roots) == 5
     assert verdict.witness == max(abs(z) for z in verdict.root_set.roots)
@@ -257,7 +259,7 @@ def test_verdict_agrees_with_oracle_on_random_sample():
     rng = random.Random(41)
     checked = 0
     while checked < 300:
-        degree = rng.randint(2, 8)
+        degree = rng.randint(1, 8)
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(degree + 1)]
         if coeffs[0] == 0.0:
             continue

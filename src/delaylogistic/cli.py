@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -18,12 +19,22 @@ from . import delay_map, discretization, jury, polynomial, sweep
 _TABLES_TAU_MAX = 5
 
 
+# argparse's own pattern accepts only plain negative numbers such as -0.5
+_NEGATIVE_NUMBER_OR_LIST = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
+
+
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage instead of exiting the process."""
+    """argparse that reports bad usage instead of exiting the process, and
+    takes a word that starts with a negative number, such as ``-1e-3`` or
+    the list ``-1,0.5``, for a value rather than for an option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER_OR_LIST
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -133,6 +144,11 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     return payload
 
 
+def _json_float(x: float) -> str:
+    """A float as `json.dumps` writes it: its repr, or Infinity/NaN."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> str:
     params = delay_map.DelayParams(r=args.r, K=args.K, tau=args.tau)
     if args.history is not None:
@@ -148,11 +164,18 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         lines = ["step,x"]
         lines += [f"{n},{x:.17g}" for n, x in trajectory.samples]
         return "\n".join(lines) + "\n"
-    return json.dumps({
+    # json.dumps(indent=2) never uses the C encoder, so the samples, which
+    # are nearly all of the document, are laid out here exactly as it would
+    # lay them out, around a frame it renders with one placeholder sample
+    head, tail = json.dumps({
         "r": params.r, "K": params.K, "tau": params.tau,
         "diverged": trajectory.diverged,
-        "samples": [{"step": n, "x": x} for n, x in trajectory.samples],
-    }, indent=2) + "\n"
+        "samples": [0],
+    }, indent=2).split("\n    0\n")
+    samples = ",\n".join(
+        f'    {{\n      "step": {n},\n      "x": {_json_float(x)}\n    }}'
+        for n, x in trajectory.samples)
+    return f"{head}\n{samples}\n{tail}\n"
 
 
 def _cmd_stability(args: argparse.Namespace) -> str:

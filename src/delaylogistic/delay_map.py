@@ -5,6 +5,11 @@ first, advanced by
 
     x_{n+1} = x_n + r * x_n * (1 - x_{n-tau} / K)
 
+:func:`step` maps one history to the next; :func:`simulate` keeps every
+sample and reads ``x_{n-tau}`` off its own record, so a long run costs
+O(1) per step at any delay. Both apply the update through ``_advance``,
+so they agree bitwise.
+
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
 characteristic polynomials come out in closed form.
@@ -70,17 +75,23 @@ def _check_state(params: DelayParams, state: Sequence[float]) -> tuple[float, ..
     return values
 
 
+def _advance(x: float, oldest: float, r: float, K: float) -> float:
+    """The recurrence itself: ``x_{n+1}`` from ``x_n`` and ``x_{n-tau}``."""
+    return x + r * x * (1.0 - oldest / K)
+
+
 def step(params: DelayParams, state: Sequence[float]) -> tuple[float, ...]:
     """Advance the history by one application of the recurrence."""
     values = _check_state(params, state)
-    newest = values[-1]
-    oldest = values[0]
-    advanced = newest + params.r * newest * (1.0 - oldest / params.K)
-    return values[1:] + (advanced,)
+    return values[1:] + (_advance(values[-1], values[0], params.r, params.K),)
 
 
 def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajectory:
     """Run ``n_steps`` map applications from the seeded history.
+
+    The record is the history: ``x_{n-tau}`` is always ``tau`` places
+    behind ``x_n`` in the list of samples, so each step costs O(1) whatever
+    the delay, and gives bitwise the same value as :func:`step`.
 
     Stops early with ``diverged=True`` once a sample is non-finite or
     exceeds ``DIVERGENCE_FACTOR * K`` in magnitude; the offending sample is
@@ -92,17 +103,19 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
 
-    samples = [(i - params.tau, x) for i, x in enumerate(state)]
-    limit = DIVERGENCE_FACTOR * params.K
+    values = list(state)
+    r, K, tau = params.r, params.K, params.tau
+    limit = DIVERGENCE_FACTOR * K
     diverged = False
-    for n in range(1, n_steps + 1):
-        state = step(params, state)
-        newest = state[-1]
-        samples.append((n, newest))
-        if not math.isfinite(newest) or abs(newest) > limit:
+    x = values[-1]
+    for i in range(n_steps):  # x is x_i here, and values[i] is x_{i-tau}
+        x = _advance(x, values[i], r, K)
+        values.append(x)
+        if not math.isfinite(x) or abs(x) > limit:
             diverged = True
             break
-    return Trajectory(params=params, samples=tuple(samples), diverged=diverged)
+    samples = tuple(zip(range(-tau, len(values) - tau), values))
+    return Trajectory(params=params, samples=samples, diverged=diverged)
 
 
 def fixed_points(params: DelayParams) -> tuple[tuple[float, ...], tuple[float, ...]]:

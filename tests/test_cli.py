@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from delaylogistic import cli, jury, polynomial
-from delaylogistic.delay_map import DelayParams, step
+from delaylogistic.delay_map import DelayParams, simulate, step
 
 
 def _run(capsys, argv):
@@ -89,6 +89,37 @@ def test_simulate_explicit_history(capsys):
                                  "--history", "0.5,0.8", "--steps", "1"])
     assert code == 0
     assert out.splitlines()[-1] == "1,1"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("r, K, tau, seeding, steps", [
+    ("0.106", "2800", 17, ["--x0", "1400"], 300),
+    ("0.3", "2.5", 3, ["--x0", "1.1"], 0),
+    ("0.3", "2.5", 2, ["--history", "-0.0,0.0,-0.0"], 5),
+    ("0.5", "1", 1, ["--history", "0.5,0.8"], 10),
+    ("1e308", "1", 0, ["--x0", "2"], 5),  # ends in -Infinity
+    ("1e308", "1", 2, ["--history", "2,-3,1e300"], 5),  # ends in -Infinity
+    ("1e308", "1", 2, ["--history", "1,-3,1e300"], 5),  # ends in NaN
+])
+def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau,
+                                                          seeding, steps):
+    argv = ["simulate", "--r", r, "--K", K, "--tau", str(tau), *seeding,
+            "--steps", str(steps), "--format", fmt]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    params = DelayParams(r=float(r), K=float(K), tau=tau)
+    init = ([float(v) for v in seeding[1].split(",")] if seeding[0] == "--history"
+            else [float(seeding[1])] * (tau + 1))
+    trajectory = simulate(params, init, steps)
+    if fmt == "csv":
+        lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in trajectory.samples]
+        assert out == "\n".join(lines) + "\n"
+    else:
+        assert out == json.dumps({
+            "r": params.r, "K": params.K, "tau": params.tau,
+            "diverged": trajectory.diverged,
+            "samples": [{"step": n, "x": x} for n, x in trajectory.samples],
+        }, indent=2) + "\n"
 
 
 def test_simulate_history_length_mismatch_is_usage_error(capsys):
@@ -312,12 +343,30 @@ def test_discretize_ratio_large_rate_stays_stable(capsys):
     ["simulate", "--r", "inf", "--K", "1", "--tau", "0", "--x0", "1", "--steps", "1"],
     ["stability", "--tau", "1", "--r", "0.5", "--point", "saddle"],
     ["tables", "--format", "yaml"],
+    ["jury", "--coeffs", "-x"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["jury", "--coeffs", "-1,0.5"], ["jury", "--coeffs=-1,0.5"]),
+    (["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--history", "-0.1,0.2",
+      "--steps", "3"],
+     ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--history=-0.1,0.2",
+      "--steps", "3"]),
+    (["stability", "--tau", "2", "--r", "-0.5", "--point", "trivial"],
+     ["stability", "--tau", "2", "--r=-0.5", "--point", "trivial"]),
+    (["stability", "--tau", "2", "--r", "-1e-3", "--point", "trivial"],
+     ["stability", "--tau", "2", "--r=-1e-3", "--point", "trivial"]),
+])
+def test_a_value_may_start_with_a_minus(capsys, argv, joined):
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == _run(capsys, joined)[1]
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaylogistic.delay_map import (
+    DIVERGENCE_FACTOR,
     NONTRIVIAL,
     TRIVIAL,
     DelayParams,
@@ -17,7 +19,7 @@ from delaylogistic.delay_map import (
     step,
     trivial_stability_range,
 )
-from delaylogistic.polynomial import roots, spectral_radius
+from delaylogistic.polynomial import Polynomial, roots, spectral_radius
 
 
 def test_params_validation():
@@ -81,14 +83,42 @@ def test_simulate_steps_and_sample_indexing():
     assert all(x == 0.3 for _, x in trajectory.samples)
 
 
-def test_simulate_records_are_recomputable():
-    params = DelayParams(0.8, 2.0, 3)
-    trajectory = simulate(params, (0.5, 0.6, 0.7, 0.8), 60)
-    values = [x for _, x in trajectory.samples]
-    state = tuple(values[:4])
-    for expected in values[4:]:
+def _stepwise_run(params, init, n_steps):
+    """The record built one `step` at a time under the divergence rule: the
+    reference that `simulate` must reproduce bit for bit."""
+    state = tuple(init)
+    values = list(state)
+    limit = DIVERGENCE_FACTOR * params.K
+    for _ in range(n_steps):
         state = step(params, state)
-        assert state[-1] == expected
+        values.append(state[-1])
+        if not math.isfinite(state[-1]) or abs(state[-1]) > limit:
+            return values, True
+    return values, False
+
+
+def _bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+def test_simulate_records_are_recomputable():
+    runs = [
+        (DelayParams(0.8, 2.0, 3), (0.5, 0.6, 0.7, 0.8), 60),
+        (DelayParams(1.9, 1.0, 0), (0.37,), 500),
+        (DelayParams(0.5, 1.0, 1), (0.5, 0.8), 500),
+        (DelayParams(0.106, 2800.0, 17), (1400.0,) * 18, 3000),
+        (DelayParams(0.005, 2800.0, 200), (1400.0,) * 201, 2000),
+        (DelayParams(3.0, 1.0, 1), (0.5, 0.5), 200),  # runs away past the limit
+        (DelayParams(1e308, 1.0, 2), (1.0, -3.0, 1e300), 5),  # ends in NaN
+    ]
+    for params, init, n_steps in runs:
+        trajectory = simulate(params, init, n_steps)
+        values, diverged = _stepwise_run(params, init, n_steps)
+        assert trajectory.diverged == diverged, params
+        assert [n for n, _ in trajectory.samples] == list(
+            range(-params.tau, len(values) - params.tau)), params
+        assert _bits(x for _, x in trajectory.samples) == _bits(values), params
+    assert math.isnan(trajectory.samples[-1][1])  # the last run reaches its NaN
 
 
 def test_simulate_flags_divergence_and_stops():
@@ -224,16 +254,29 @@ def test_char_poly_matches_determinant_expansion():
         entries = [[[-jac[i][j], 1.0] if i == j else [-jac[i][j]]
                     for j in range(n)] for i in range(n)]
         expanded = list(reversed(_det_poly(entries)))  # to descending powers
-        from delaylogistic.polynomial import Polynomial
-
         ours = roots(char_poly(params, NONTRIVIAL)).roots
-        theirs = list(roots(Polynomial(expanded)).roots)
-        assert len(ours) == len(theirs)
-        for a in ours:  # nearest-match pairing; conjugates defeat sorting
-            distances = [abs(a - b) for b in theirs]
-            best = distances.index(min(distances))
-            assert distances[best] <= 1e-8
-            theirs.pop(best)
+        theirs = roots(Polynomial(expanded)).roots
+        _assert_same_roots(ours, theirs, 1e-8)
+
+
+def _assert_same_roots(ours, theirs, tol):
+    theirs = list(theirs)
+    assert len(ours) == len(theirs)
+    for a in ours:  # nearest-match pairing; conjugates defeat sorting
+        distances = [abs(a - b) for b in theirs]
+        best = distances.index(min(distances))
+        assert distances[best] <= tol, (a, theirs[best])
+        theirs.pop(best)
+
+
+@pytest.mark.parametrize("point", [TRIVIAL, NONTRIVIAL])
+def test_char_poly_matches_jacobian_eigenvalues(point):
+    rng = random.Random(40)
+    for tau in range(41):
+        params = DelayParams(r=rng.uniform(-1.8, 1.8), K=rng.uniform(0.5, 4000.0),
+                             tau=tau)
+        eigenvalues = np.linalg.eigvals(jacobian(params, point))
+        _assert_same_roots(roots(char_poly(params, point)).roots, eigenvalues, 1e-10)
 
 
 @pytest.mark.parametrize("tau", [0, 3, 25])

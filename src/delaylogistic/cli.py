@@ -62,7 +62,7 @@ def _nonneg_int(text: str) -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [_finite_float(part) for part in text.split(",") if part.strip() != ""]
+        return [_finite_float(part) for part in text.split(",")]
     except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
 
@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
                       help="explicit tau+1 seeded history entries, oldest first")
     sim.add_argument("--steps", type=_nonneg_int, required=True)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--out", metavar="PATH", default=None)
 
     stab = sub.add_parser("stability", help="verdict for one fixed point and rate")
     stab.add_argument("--tau", type=_nonneg_int, required=True)
@@ -92,22 +91,18 @@ def _build_parser() -> _Parser:
                       required=True)
     stab.add_argument("--method", choices=(sweep.JURY, sweep.ORACLE),
                       default=sweep.JURY)
-    stab.add_argument("--out", metavar="PATH", default=None)
 
     bnd = sub.add_parser("boundary", help="stability thresholds for tau = 0..max")
     bnd.add_argument("--tau-max", type=_nonneg_int, required=True)
     bnd.add_argument("--tol", type=_finite_float, default=sweep.DEFAULT_TOL)
     bnd.add_argument("--format", choices=("csv", "json"), default="json")
-    bnd.add_argument("--out", metavar="PATH", default=None)
 
     tab = sub.add_parser("tables", help="both fixed-point stability tables, tau = 0..5")
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
-    tab.add_argument("--out", metavar="PATH", default=None)
 
     jry = sub.add_parser("jury", help="reduction table, conditions and verdict")
     jry.add_argument("--coeffs", type=_float_list, required=True, metavar="C0,C1,...",
                      help="polynomial coefficients, highest power first")
-    jry.add_argument("--out", metavar="PATH", default=None)
 
     dis = sub.add_parser("discretize", help="fixed-point verdicts for a one-step scheme")
     dis.add_argument("--scheme", choices=(discretization.FORWARD, discretization.RATIO),
@@ -115,7 +110,10 @@ def _build_parser() -> _Parser:
     dis.add_argument("--r", type=_finite_float, required=True)
     dis.add_argument("--h", type=_finite_float, required=True)
     dis.add_argument("--K", type=_finite_float, required=True)
-    dis.add_argument("--out", metavar="PATH", default=None)
+
+    # appended last so that it stays at the end of every usage line
+    for command in sub.choices.values():
+        command.add_argument("--out", metavar="PATH", default=None)
     return parser
 
 
@@ -149,7 +147,7 @@ def _json_float(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
+def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
     params = delay_map.DelayParams(r=args.r, K=args.K, tau=args.tau)
     if args.history is not None:
         if len(args.history) != args.tau + 1:
@@ -163,7 +161,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     if args.format == "csv":
         lines = ["step,x"]
         lines += [f"{n},{x:.17g}" for n, x in trajectory.samples]
-        return "\n".join(lines) + "\n"
+        return lines
     # json.dumps(indent=2) never uses the C encoder, so the samples, which
     # are nearly all of the document, are laid out here exactly as it would
     # lay them out, around a frame it renders with one placeholder sample
@@ -175,10 +173,10 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     samples = ",\n".join(
         f'    {{\n      "step": {n},\n      "x": {_json_float(x)}\n    }}'
         for n, x in trajectory.samples)
-    return f"{head}\n{samples}\n{tail}\n"
+    return [head, samples, tail]
 
 
-def _cmd_stability(args: argparse.Namespace) -> str:
+def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
     p = delay_map.char_poly(delay_map.DelayParams(r=args.r, K=1.0, tau=args.tau),
                             args.point)
     if args.method == sweep.JURY:
@@ -193,26 +191,24 @@ def _cmd_stability(args: argparse.Namespace) -> str:
         "verdict": _verdict_payload(verdict),
     }
     payload.update(_evidence_payload(verdict))
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
 
 
-def _cmd_boundary(args: argparse.Namespace) -> str:
+def _cmd_boundary(args: argparse.Namespace) -> dict | list[str]:
     table = sweep.boundary_table(args.tau_max, tol=args.tol)
-    points = [{"tau": p.tau, "r_critical": p.r_critical,
-               "bracket_width": p.bracket_width, "method": p.method}
-              for p in table.points]
     if args.format == "csv":
         lines = ["tau,r_critical,bracket_width,method"]
         lines += [f"{p.tau},{p.r_critical:.17g},{p.bracket_width:.17g},{p.method}"
                   for p in table.points]
         lines.append(f"# monotone_decreasing={str(table.monotone_decreasing).lower()}")
-        return "\n".join(lines) + "\n"
-    return json.dumps({"points": points,
-                       "monotone_decreasing": table.monotone_decreasing},
-                      indent=2) + "\n"
+        return lines
+    return {"points": [{"tau": p.tau, "r_critical": p.r_critical,
+                        "bracket_width": p.bracket_width, "method": p.method}
+                       for p in table.points],
+            "monotone_decreasing": table.monotone_decreasing}
 
 
-def _cmd_tables(args: argparse.Namespace) -> str:
+def _cmd_tables(args: argparse.Namespace) -> dict | list[str]:
     taus = range(_TABLES_TAU_MAX + 1)
     trivial = [delay_map.trivial_stability_range(tau) for tau in taus]
     boundary = sweep.boundary_table(_TABLES_TAU_MAX)
@@ -223,18 +219,16 @@ def _cmd_tables(args: argparse.Namespace) -> str:
         lines.append("nontrivial fixed point: stable for 0 < r < r_critical")
         lines.append("tau,r_critical")
         lines += [f"{p.tau},{p.r_critical:.6f}" for p in boundary.points]
-        return "\n".join(lines) + "\n"
-    return json.dumps({
+        return lines
+    return {
         "trivial": [{"tau": tau, "r_min": round(lo, 6), "r_max": round(hi, 6)}
                     for tau, (lo, hi) in zip(taus, trivial)],
         "nontrivial": [{"tau": p.tau, "r_critical": round(p.r_critical, 6)}
                        for p in boundary.points],
-    }, indent=2) + "\n"
+    }
 
 
-def _cmd_jury(args: argparse.Namespace) -> str:
-    if not args.coeffs:
-        raise UsageError("--coeffs needs at least one value")
+def _cmd_jury(args: argparse.Namespace) -> dict | list[str]:
     p = polynomial.Polynomial(tuple(args.coeffs))
     normalized = polynomial.normalize_leading(p)
     verdict = jury.jury_verdict(normalized)
@@ -247,14 +241,14 @@ def _cmd_jury(args: argparse.Namespace) -> str:
     payload["table_rows"] = None if table is None else [list(row) for row in table.rows]
     payload["table_shifts"] = None if table is None else list(table.shifts)
     payload.update(_evidence_payload(verdict))
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
 
 
-def _cmd_discretize(args: argparse.Namespace) -> str:
+def _cmd_discretize(args: argparse.Namespace) -> dict | list[str]:
     params = discretization.SchemeParams(r=args.r, K=args.K, h=args.h,
                                          scheme=args.scheme)
     at_zero, at_capacity = discretization.scheme_stability(params)
-    return json.dumps({
+    return {
         "scheme": params.scheme, "r": params.r, "h": params.h, "K": params.K,
         "fixed_points": [
             {"x": 0.0, "derivative": at_zero.witness,
@@ -262,9 +256,11 @@ def _cmd_discretize(args: argparse.Namespace) -> str:
             {"x": params.K, "derivative": at_capacity.witness,
              "verdict": _verdict_payload(at_capacity)},
         ],
-    }, indent=2) + "\n"
+    }
 
 
+# each returns a JSON document (a dict) or the lines of a text report, and
+# `run` alone turns either into bytes
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "stability": _cmd_stability,
@@ -275,7 +271,6 @@ _COMMANDS = {
 }
 
 _NUMERIC_ERRORS = (
-    polynomial.DegeneratePolynomialError,
     sweep.BracketingError,
     discretization.PoleError,
     ValueError,
@@ -287,13 +282,17 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        output = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:
         print(f"delaylogistic: error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, dict):
+        output = json.dumps(result, indent=2) + "\n"
+    else:
+        output = "\n".join(result) + "\n"
     if args.out is not None:
         Path(args.out).write_text(output, encoding="utf-8")
     else:

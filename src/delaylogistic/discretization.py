@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .delay_map import _advance
 from .jury import StabilityVerdict, classify_modulus
 
 FORWARD = "forward"
@@ -44,13 +45,12 @@ class SchemeParams:
 def forward_step(p: SchemeParams, x: float) -> float:
     """Explicit update (rh+1)x - (rh/K)x^2.
 
-    Written as a growth increment so that h = 1 reproduces the delay map's
-    zero-delay step bitwise.
+    This is the delay map's update at zero delay with rate rh, so h = 1
+    reproduces the zero-delay step bitwise.
     """
     if p.scheme != FORWARD:
         raise ValueError(f"forward_step needs scheme={FORWARD!r}, got {p.scheme!r}")
-    rh = p.r * p.h
-    return x + rh * x * (1.0 - x / p.K)
+    return _advance(x, x, p.r * p.h, p.K)
 
 
 def ratio_step(p: SchemeParams, x: float) -> float:

@@ -66,11 +66,12 @@ def is_stable_nontrivial(tau: int, r: float, method: str = JURY) -> StabilityVer
 def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> BoundaryPoint:
     """Locate the supremum of the stable rate interval by bisection.
 
-    The bracket grows by doubling from r = 0.1 until an unstable rate is
-    found (capped at 4.0); if 0.1 is already unstable the stable end is
-    sought by halving instead, which the larger delays need once the
-    threshold drops below 0.1. Raises :class:`BracketingError` when no
-    flip exists in range, which for this family signals a defect.
+    The bracket is found by one walk from r = 0.1: up by doubling (capped
+    at 4.0) while the rate is stable, down by halving while it is not,
+    which the larger delays need once the threshold drops below 0.1. The
+    first rate on the other side closes the bracket. Raises
+    :class:`BracketingError` when no flip exists in range, which for this
+    family signals a defect.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -82,31 +83,15 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> Bounda
         return verdict.status == STABLE
 
     r = _BRACKET_START
-    if stable(r):
-        lo = r
-        hi = None
-        while r < _BRACKET_CAP:
-            r = min(2.0 * r, _BRACKET_CAP)
-            if stable(r):
-                lo = r
-            else:
-                hi = r
-                break
-        if hi is None:
-            raise BracketingError(
-                f"no unstable rate up to {_BRACKET_CAP} for tau={tau}")
+    rising = stable(r)
+    while (r < _BRACKET_CAP) if rising else (r > _BRACKET_FLOOR):
+        last, r = r, (min(2.0 * r, _BRACKET_CAP) if rising else 0.5 * r)
+        if stable(r) != rising:
+            lo, hi = (last, r) if rising else (r, last)
+            break
     else:
-        hi = r
-        lo = None
-        while r > _BRACKET_FLOOR:
-            r *= 0.5
-            if stable(r):
-                lo = r
-                break
-            hi = r
-        if lo is None:
-            raise BracketingError(
-                f"no stable rate down to {_BRACKET_FLOOR} for tau={tau}")
+        raise BracketingError(f"no stability flip for r in "
+                              f"[{_BRACKET_FLOOR}, {_BRACKET_CAP}] at tau={tau}")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

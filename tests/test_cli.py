@@ -1,8 +1,11 @@
 import json
 import math
+import re
+import shlex
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +347,11 @@ def test_discretize_ratio_large_rate_stays_stable(capsys):
     ["stability", "--tau", "1", "--r", "0.5", "--point", "saddle"],
     ["tables", "--format", "yaml"],
     ["jury", "--coeffs", "-x"],
+    ["jury", "--coeffs=1,,-0.5"],  # an empty list item is an error, not skipped
+    ["jury", "--coeffs=1,2,"],
+    ["jury", "--coeffs="],
+    ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--history", "0.5,,0.8",
+     "--steps", "1"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -370,10 +378,28 @@ def test_a_value_may_start_with_a_minus(capsys, argv, joined):
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(tmp_path, capsys):
-    target = tmp_path / "table.json"
-    code, out, _ = _run(capsys, ["boundary", "--tau-max", "1", "--tol", "1e-6",
-                                 "--out", str(target)])
-    assert code == 0
-    assert out == ""
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["points"][1]["r_critical"] == pytest.approx(1.0, abs=1e-5)
+    # every command takes --out, and the file holds exactly what stdout would
+    for argv in (
+        ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--x0", "0.5",
+         "--steps", "9", "--format", "json"],
+        ["stability", "--tau", "2", "--r", "0.5", "--point", "nontrivial"],
+        ["boundary", "--tau-max", "1", "--tol", "1e-6"],
+        ["tables"],
+        ["jury", "--coeffs", "1,-1,0,0.5"],
+        ["discretize", "--scheme", "ratio", "--r", "2", "--h", "1", "--K", "1"],
+    ):
+        target = tmp_path / f"{argv[0]}.out"
+        code, out, err = _run(capsys, argv + ["--out", str(target)])
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == _run(capsys, argv)[1].encode("utf-8")
+
+
+def test_readme_commands_run(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("delaylogistic ")]
+    assert commands
+    for argv in commands:
+        code, _, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv

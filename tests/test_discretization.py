@@ -74,10 +74,13 @@ def test_ratio_step_pole_raises():
 
 def test_forward_matches_zero_delay_map_bitwise_at_unit_step():
     rng = random.Random(23)
-    for _ in range(100):
-        r = rng.uniform(-2.0, 4.0)
-        K = rng.uniform(0.1, 4000.0)
-        x = rng.uniform(-2.0 * K, 3.0 * K)
+    cases = [(rng.uniform(-2.0, 4.0), K, rng.uniform(-2.0 * K, 3.0 * K))
+             for K in (rng.uniform(0.1, 4000.0) for _ in range(100))]
+    cases += [(r, K, m * K)
+              for r in (-2.5, -1.0, -1e-3, 0.0, 1e-9, 0.5, 1.9, 3.7, 1e3)
+              for K in (1e-6, 1.0, 2800.0, 1e9)
+              for m in (-1e3, -1.0, -0.0, 1e-8, 0.5, 1.0, 1.5, 1e6)]
+    for r, K, x in cases:
         scheme_value = forward_step(_forward(r, K, 1.0), x)
         map_value = step(DelayParams(r=r, K=K, tau=0), (x,))[0]
         assert scheme_value == map_value  # bitwise

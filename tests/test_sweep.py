@@ -114,17 +114,20 @@ def test_critical_r_rejects_bad_tol():
 def test_bracketing_error_when_no_flip_exists(monkeypatch):
     from delaylogistic.jury import StabilityVerdict
 
-    monkeypatch.setattr(
-        sweep, "is_stable_nontrivial",
-        lambda tau, r, method=JURY: StabilityVerdict(STABLE, None, method))
-    with pytest.raises(BracketingError):
-        sweep.critical_r(2)
+    # the walk's rates, bit for bit: up by doubling to the cap, or down by
+    # halving until past the floor
+    for status, expected in [(STABLE, [0.1 * 2.0**k for k in range(6)] + [4.0]),
+                             (UNSTABLE, [0.1 * 2.0**-k for k in range(28)])]:
+        seen = []
 
-    monkeypatch.setattr(
-        sweep, "is_stable_nontrivial",
-        lambda tau, r, method=JURY: StabilityVerdict(UNSTABLE, 1, method))
-    with pytest.raises(BracketingError):
-        sweep.critical_r(2)
+        def verdict(tau, r, method=JURY, status=status, seen=seen):
+            seen.append(r)
+            return StabilityVerdict(status, None, method)
+
+        monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
+        with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
+            sweep.critical_r(2)
+        assert seen == expected
 
 
 @pytest.mark.parametrize("tau", [13, 17, 30, 60, 200])

@@ -13,14 +13,12 @@ from .delay_map import (
 from .discretization import SchemeParams, forward_step, ratio_step, scheme_stability
 from .jury import (
     ConditionResult,
-    InductionReport,
     JuryTable,
     StabilityVerdict,
     jury_conditions,
     jury_table,
     jury_verdict,
     oracle_verdict,
-    verify_sparse_induction,
 )
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots, spectral_radius
 from .sweep import (
@@ -38,7 +36,6 @@ __all__ = [
     "BoundaryTable",
     "ConditionResult",
     "DelayParams",
-    "InductionReport",
     "JuryTable",
     "Polynomial",
     "RootSet",
@@ -65,5 +62,4 @@ __all__ = [
     "spectral_radius",
     "step",
     "trivial_stability_range",
-    "verify_sparse_induction",
 ]

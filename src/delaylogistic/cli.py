@@ -1,8 +1,9 @@
 """Command-line front end: stability queries, sweeps, simulations.
 
 Every input is a flag (no config files, no environment), so a run is fully
-reproducible from its argv. Exit codes: 0 success, 1 usage error, 2
-numeric failure (bracketing failure, degenerate or out-of-range input).
+reproducible from its argv. Exit codes: 0 success, 1 usage error (also
+an ``--out`` path that cannot be written), 2 numeric failure (bracketing
+failure, degenerate or out-of-range input).
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _build_parser() -> _Parser:
     stab.add_argument("--r", type=_finite_float, required=True)
     stab.add_argument("--point", choices=(delay_map.TRIVIAL, delay_map.NONTRIVIAL),
                       required=True)
-    stab.add_argument("--method", choices=(sweep.JURY, sweep.ORACLE),
-                      default=sweep.JURY)
+    stab.add_argument("--method", choices=(jury.JURY, jury.ORACLE),
+                      default=jury.JURY)
 
     bnd = sub.add_parser("boundary", help="stability thresholds for tau = 0..max")
     bnd.add_argument("--tau-max", type=_nonneg_int, required=True)
@@ -143,8 +144,10 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
 
 
 def _json_float(x: float) -> str:
-    """A float as `json.dumps` writes it: its repr, or Infinity/NaN."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
+    """A float as `json.dumps` writes a finite one, and ``null`` for the
+    non-finite sample that ends a diverged run, so the document stays
+    strict JSON."""
+    return repr(x) if math.isfinite(x) else "null"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
@@ -179,7 +182,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
 def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
     p = delay_map.char_poly(delay_map.DelayParams(r=args.r, K=1.0, tau=args.tau),
                             args.point)
-    if args.method == sweep.JURY:
+    if args.method == jury.JURY:
         verdict = jury.jury_verdict(p)
     else:
         verdict = jury.oracle_verdict(p)
@@ -293,10 +296,15 @@ def run(argv: list[str]) -> int:
         output = json.dumps(result, indent=2) + "\n"
     else:
         output = "\n".join(result) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
+    if args.out is None:
         sys.stdout.write(output)
+        return 0
+    try:
+        Path(args.out).write_text(output, encoding="utf-8")
+    except OSError as exc:
+        print(f"delaylogistic: error: cannot write {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -170,14 +170,9 @@ def char_poly(params: DelayParams, point: str) -> Polynomial:
 def trivial_stability_range(tau: int) -> tuple[float, float]:
     """The open interval of ``r`` where the all-zero point is stable.
 
-    The Jacobian there is upper triangular with diagonal ``(0, ..., 0, e)``
-    and ``e`` affine in ``r``; the range solves ``|e| < 1``. The affine map
-    is measured off the matrix itself rather than assumed.
+    By :func:`char_poly` the point's only non-zero root is ``1 + r``, at
+    every delay, so the range is where ``|1 + r| < 1``: (-2, 0).
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    corner = [float(jacobian(DelayParams(r=r, K=1.0, tau=tau), TRIVIAL)[tau, tau])
-              for r in (0.0, 1.0)]
-    intercept = corner[0]
-    slope = corner[1] - corner[0]
-    return ((-1.0 - intercept) / slope, (1.0 - intercept) / slope)
+    return (-2.0, 0.0)

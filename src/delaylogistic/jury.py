@@ -40,12 +40,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .delay_map import NONTRIVIAL, DelayParams, char_poly
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
+
+# The two tests a verdict can come from, as its ``method`` names them.
+JURY = "jury"
+ORACLE = "oracle"
 
 # Strict inequalities are granted only beyond this slack, relative to the
 # magnitudes being compared; anything inside the band counts as marginal.
@@ -62,8 +65,6 @@ _SINGULAR_TOL = 1e-12
 # overflow a double at the next reduction.
 _RESCALE_LOW = 2.0 ** -256
 _RESCALE_HIGH = 2.0 ** 256
-# verify_sparse_induction: largest recurrence error, relative to the row.
-_RECURRENCE_TOL = 1e-9
 
 
 class SingularTableError(RuntimeError):
@@ -109,7 +110,8 @@ class StabilityVerdict:
     ``status`` is one of stable / unstable / marginal. For an unstable
     coefficient-test verdict ``witness`` is the first failed condition
     index; for oracle verdicts it is the spectral radius. ``method``
-    records which test produced the verdict ("jury" or "oracle").
+    records which test produced the verdict: JURY ("jury") or ORACLE
+    ("oracle").
 
     The evidence fields do not take part in equality. A coefficient-test
     verdict carries its ``conditions`` and its ``table``; an oracle
@@ -124,24 +126,6 @@ class StabilityVerdict:
     table: JuryTable | None = field(default=None, compare=False)
     root_set: RootSet | None = field(default=None, compare=False)
     reason: str | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class InductionReport:
-    """Structure check of the reduction table for the delay family.
-
-    For ``lambda^(tau+1) - lambda^tau + r`` every reduced row should carry
-    non-zero entries only at positions 0, m-1 and m, and consecutive
-    reduced rows should be linked by three closed-form products of the
-    previous row's outer entries.
-    """
-
-    tau: int
-    r: float
-    rows_checked: int
-    sparse_pattern_holds: bool
-    recurrences_hold: bool
-    max_discrepancy: float
 
 
 def jury_table(p: Polynomial) -> JuryTable:
@@ -257,7 +241,7 @@ def oracle_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify by the largest root modulus, independent of the table."""
     root_set = roots(p)
     rho = max(abs(z) for z in root_set.roots)
-    return StabilityVerdict(classify_modulus(rho), witness=rho, method="oracle",
+    return StabilityVerdict(classify_modulus(rho), witness=rho, method=ORACLE,
                             root_set=root_set)
 
 
@@ -282,51 +266,6 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
             break
         if status == STABLE and abs(cond.margin) <= cond.tolerance:
             status, witness = MARGINAL, cond.index
-    return StabilityVerdict(status, witness, "jury",
+    return StabilityVerdict(status, witness, JURY,
                             conditions=conditions, table=table)
 
-
-def verify_sparse_induction(tau: int, r: float) -> InductionReport:
-    """Check the sparse row pattern and row-to-row recurrences numerically.
-
-    Builds the table for ``lambda^(tau+1) - lambda^tau + r`` and verifies
-    that, from the first reduced row onward, only positions 0, m-1 and m
-    are non-zero, and that consecutive reduced rows satisfy
-
-    - ``next[0]   = -prev[m-1] * prev[0]``
-    - ``next[m-2] =  prev[m] * prev[m-1]``
-    - ``next[m-1] =  prev[m]**2 - prev[0]**2``
-
-    each right-hand side times ``2**shift``, the power of two the table
-    applied to ``next``. ``max_discrepancy`` is the largest error relative
-    to the largest magnitude in ``next``. Violations are reported through
-    the flags, not raised. The input row itself carries its middle non-zero
-    entry at position 1, so the pattern is only asserted after one
-    reduction.
-    """
-    if tau < 2:
-        raise ValueError("need tau >= 2 so the table has a reduced row")
-    table = jury_table(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
-    reduced = table.rows[1:]
-
-    sparse = True
-    for row in reduced:
-        m = len(row) - 1
-        if any(row[k] != 0.0 for k in range(1, m - 1)):
-            sparse = False
-
-    max_discrepancy = 0.0
-    for prev, nxt, shift in zip(reduced, reduced[1:], table.shifts[2:]):
-        m = len(prev) - 1
-        error = max(
-            abs(nxt[0] - math.ldexp(-prev[m - 1] * prev[0], shift)),
-            abs(nxt[-2] - math.ldexp(prev[m] * prev[m - 1], shift)),
-            abs(nxt[-1] - math.ldexp(prev[m] ** 2 - prev[0] ** 2, shift)))
-        max_discrepancy = max(max_discrepancy,
-                              error / (max(map(abs, nxt)) or 1.0))
-
-    return InductionReport(
-        tau=tau, r=float(r), rows_checked=len(reduced),
-        sparse_pattern_holds=sparse,
-        recurrences_hold=max_discrepancy <= _RECURRENCE_TOL,
-        max_discrepancy=max_discrepancy)

@@ -2,9 +2,11 @@
 
 For each delay the non-trivial fixed point is stable on an open interval
 (0, f(tau)) of the reproduction rate; f is located by bisecting the
-stability predicate. Marginal verdicts count as unstable while bracketing
-and bisecting, so the reported threshold approaches the open interval's
-supremum from below.
+stability predicate. The predicate is the coefficient test of
+:mod:`jury`; the root oracle stands in only where the table is singular.
+Marginal verdicts count as unstable while bracketing and bisecting, so
+the reported threshold approaches the open interval's supremum from
+below.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .delay_map import NONTRIVIAL, DelayParams, char_poly
-from .jury import STABLE, StabilityVerdict, jury_verdict, oracle_verdict
-
-JURY = "jury"
-ORACLE = "oracle"
+from .jury import STABLE, StabilityVerdict, jury_verdict
 
 DEFAULT_TOL = 1e-10
 
@@ -49,21 +48,16 @@ class BoundaryTable:
     monotone_decreasing: bool
 
 
-def is_stable_nontrivial(tau: int, r: float, method: str = JURY) -> StabilityVerdict:
-    """Stability verdict for the capacity point at delay ``tau``, rate ``r``.
+def is_stable_nontrivial(tau: int, r: float) -> StabilityVerdict:
+    """The coefficient test's verdict on the capacity point at ``tau``, ``r``.
 
-    ``method`` selects the coefficient test or the root-modulus oracle;
-    the characteristic polynomial does not involve K.
+    The characteristic polynomial does not involve K. A singular table
+    falls back to the root oracle, and the verdict's ``method`` says so.
     """
-    p = char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL)
-    if method == JURY:
-        return jury_verdict(p)
-    if method == ORACLE:
-        return oracle_verdict(p)
-    raise ValueError(f"method must be {JURY!r} or {ORACLE!r}, got {method!r}")
+    return jury_verdict(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
 
 
-def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> BoundaryPoint:
+def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:
     """Locate the supremum of the stable rate interval by bisection.
 
     The bracket is found by one walk from r = 0.1: up by doubling (capped
@@ -78,7 +72,7 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, method: str = JURY) -> Bounda
     methods_used: set[str] = set()
 
     def stable(r: float) -> bool:
-        verdict = is_stable_nontrivial(tau, r, method)
+        verdict = is_stable_nontrivial(tau, r)
         methods_used.add(verdict.method)
         return verdict.status == STABLE
 

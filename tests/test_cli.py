@@ -100,9 +100,9 @@ def test_simulate_explicit_history(capsys):
     ("0.3", "2.5", 3, ["--x0", "1.1"], 0),
     ("0.3", "2.5", 2, ["--history", "-0.0,0.0,-0.0"], 5),
     ("0.5", "1", 1, ["--history", "0.5,0.8"], 10),
-    ("1e308", "1", 0, ["--x0", "2"], 5),  # ends in -Infinity
-    ("1e308", "1", 2, ["--history", "2,-3,1e300"], 5),  # ends in -Infinity
-    ("1e308", "1", 2, ["--history", "1,-3,1e300"], 5),  # ends in NaN
+    ("1e308", "1", 0, ["--x0", "2"], 5),  # ends in -inf
+    ("1e308", "1", 2, ["--history", "2,-3,1e300"], 5),  # ends in -inf
+    ("1e308", "1", 2, ["--history", "1,-3,1e300"], 5),  # ends in nan
 ])
 def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau,
                                                           seeding, steps):
@@ -118,11 +118,18 @@ def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau
         lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in trajectory.samples]
         assert out == "\n".join(lines) + "\n"
     else:
+        # strict JSON: the non-finite sample that ends a diverged run is null
         assert out == json.dumps({
             "r": params.r, "K": params.K, "tau": params.tau,
             "diverged": trajectory.diverged,
-            "samples": [{"step": n, "x": x} for n, x in trajectory.samples],
-        }, indent=2) + "\n"
+            "samples": [{"step": n, "x": x if math.isfinite(x) else None}
+                        for n, x in trajectory.samples],
+        }, indent=2, allow_nan=False) + "\n"
+        json.loads(out, parse_constant=_reject_non_finite)
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 def test_simulate_history_length_mismatch_is_usage_error(capsys):
@@ -392,6 +399,16 @@ def test_out_flag_writes_file_and_keeps_stdout_clean(tmp_path, capsys):
         code, out, err = _run(capsys, argv + ["--out", str(target)])
         assert (code, out, err) == (0, "", "")
         assert target.read_bytes() == _run(capsys, argv)[1].encode("utf-8")
+
+
+def test_out_path_that_cannot_be_written_exits_one(tmp_path, capsys):
+    # a missing directory, and a directory in place of a file
+    for target, reason in ((tmp_path / "missing_dir" / "x.csv", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = _run(capsys, ["tables", "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err == f"delaylogistic: error: cannot write {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_commands_run(capsys):

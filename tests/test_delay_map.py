@@ -281,7 +281,13 @@ def test_char_poly_matches_jacobian_eigenvalues(point):
 
 @pytest.mark.parametrize("tau", [0, 3, 25])
 def test_trivial_stability_range_is_minus_two_to_zero(tau):
-    assert trivial_stability_range(tau) == (-2.0, 0.0)
+    lo, hi = trivial_stability_range(tau)
+    assert (lo, hi) == (-2.0, 0.0)
+    # the closed form rests on char_poly: the only non-zero root is 1 + r
+    for r, inside in ((lo - 1e-9, False), (lo + 1e-9, True), (-1.0, True),
+                      (hi - 1e-9, True), (hi + 1e-9, False)):
+        p = char_poly(DelayParams(r=r, K=1.0, tau=tau), TRIVIAL)
+        assert (spectral_radius(p) < 1.0) == inside, (tau, r)
 
 
 def test_trivial_stability_range_rejects_negative_delay():

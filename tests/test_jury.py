@@ -14,9 +14,9 @@ from delaylogistic.jury import (
     jury_table,
     jury_verdict,
     oracle_verdict,
-    verify_sparse_induction,
 )
 from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial, spectral_radius
+from sparse_rows import delay_table, induction_mismatches
 
 
 def test_table_reduces_cubic_by_hand():
@@ -277,34 +277,22 @@ def test_verdict_agrees_with_oracle_on_random_sample():
 
 def test_induction_delay_three_rows_by_hand():
     r = 0.4
-    report = verify_sparse_induction(3, r)
-    assert report.sparse_pattern_holds
-    assert report.recurrences_hold
-    assert report.rows_checked == 2
-    assert report.max_discrepancy <= 1e-9
-    rows = jury_table(Polynomial((1.0, -1.0, 0.0, 0.0, r))).rows
-    assert rows[1] == (-r, 0.0, 1.0, r * r - 1.0)
-    assert rows[2] == (r, r * r - 1.0, (r * r - 1.0) ** 2 - r * r)
+    table = delay_table(3, r)
+    assert induction_mismatches(table) == []
+    assert table.rows[1] == (-r, 0.0, 1.0, r * r - 1.0)
+    assert table.rows[2] == (r, r * r - 1.0, (r * r - 1.0) ** 2 - r * r)
 
 
 def test_induction_delay_two_single_reduction():
-    report = verify_sparse_induction(2, 0.5)
-    assert report.rows_checked == 1
-    assert report.recurrences_hold
-    assert report.sparse_pattern_holds
-    assert report.max_discrepancy == 0.0
+    table = delay_table(2, 0.5)
+    assert len(table.rows) == 2
+    assert induction_mismatches(table) == []
 
 
 def test_induction_delay_five_pattern_across_all_reductions():
-    report = verify_sparse_induction(5, 0.1)
-    assert report.rows_checked == 4
-    assert report.sparse_pattern_holds
-    assert report.recurrences_hold
-
-
-def test_induction_rejects_delay_below_two():
-    with pytest.raises(ValueError):
-        verify_sparse_induction(1, 0.5)
+    table = delay_table(5, 0.1)
+    assert len(table.rows) == 5
+    assert induction_mismatches(table) == []
 
 
 def test_induction_holds_on_rate_grid_up_to_delay_ten():
@@ -313,15 +301,24 @@ def test_induction_holds_on_rate_grid_up_to_delay_ten():
     for tau, threshold in thresholds.items():
         for i in range(1, 8):
             r = threshold * i / 8.0
-            report = verify_sparse_induction(tau, r)
-            assert report.sparse_pattern_holds and report.recurrences_hold, (tau, r)
+            assert induction_mismatches(delay_table(tau, r)) == [], (tau, r)
 
 
 @pytest.mark.parametrize("tau", [17, 30, 200])
 @pytest.mark.parametrize("fraction", [0.5, 1.5])
 def test_induction_holds_through_rescaled_rows(tau, fraction):
     threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
-    report = verify_sparse_induction(tau, fraction * threshold)
-    assert report.rows_checked == tau - 1
-    assert report.sparse_pattern_holds
-    assert report.recurrences_hold
+    table = delay_table(tau, fraction * threshold)
+    assert len(table.rows) == tau
+    assert any(table.shifts) or tau == 17  # from tau = 30 rows are rescaled
+    assert induction_mismatches(table) == []
+
+
+def test_induction_is_exact_across_delays_and_rates():
+    # below, near and above the threshold; from tau = 13 on some rows are
+    # rescaled, so the power of two is checked along with the products
+    for tau in list(range(2, 41)) + [60, 100, 200, 396]:
+        threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+        for fraction in (0.01, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 3.0):
+            table = delay_table(tau, fraction * threshold)
+            assert induction_mismatches(table) == [], (tau, fraction)

@@ -3,43 +3,53 @@ import math
 import pytest
 
 from delaylogistic import sweep
-from delaylogistic.jury import MARGINAL, STABLE, UNSTABLE
-from delaylogistic.sweep import (
+from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly
+from delaylogistic.jury import (
     JURY,
+    MARGINAL,
     ORACLE,
+    STABLE,
+    UNSTABLE,
+    StabilityVerdict,
+    jury_verdict,
+    oracle_verdict,
+)
+from delaylogistic.sweep import (
     BracketingError,
     boundary_table,
     critical_r,
     is_stable_nontrivial,
 )
 
-# Empirical closed form for the threshold; validated against the bisection
-# result for the reported low delays before it is trusted further out.
+# The threshold in closed form, f(tau) = 2 sin(pi / (2(2 tau + 1))) (Levin &
+# May 1976, Theor. Pop. Biol. 9:178).
 def _candidate_threshold(tau):
-    return 2.0 * math.cos(tau * math.pi / (2 * tau + 1))
+    return 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+
+
+def _oracle_nontrivial(tau, r):
+    return oracle_verdict(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
 
 
 REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 
 def test_is_stable_examples():
-    assert is_stable_nontrivial(1, 0.5, JURY).status == STABLE
-    assert is_stable_nontrivial(2, 0.7, ORACLE).status == UNSTABLE
-    assert is_stable_nontrivial(0, 2.5, JURY).status == UNSTABLE
+    assert is_stable_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
+    assert is_stable_nontrivial(2, 0.7).status == UNSTABLE
+    assert is_stable_nontrivial(0, 2.5).status == UNSTABLE
 
 
-def test_is_stable_rejects_bad_method_and_rate():
-    with pytest.raises(ValueError):
-        is_stable_nontrivial(1, 0.5, "newton")
+def test_is_stable_rejects_a_non_finite_rate():
     with pytest.raises(ValueError):
         is_stable_nontrivial(1, float("inf"))
 
 
 def test_stable_range_is_open_at_zero():
-    assert is_stable_nontrivial(2, -1e-3, JURY).status == UNSTABLE
-    assert is_stable_nontrivial(2, -1e-3, ORACLE).status == UNSTABLE
-    assert is_stable_nontrivial(2, 0.0, JURY).status == MARGINAL
-    assert is_stable_nontrivial(2, 0.0, ORACLE).status == MARGINAL
+    assert is_stable_nontrivial(2, -1e-3).status == UNSTABLE
+    assert _oracle_nontrivial(2, -1e-3).status == UNSTABLE
+    assert is_stable_nontrivial(2, 0.0).status == MARGINAL
+    assert _oracle_nontrivial(2, 0.0).status == MARGINAL
 
 
 @pytest.mark.parametrize("tau, expected", sorted(REPORTED_THRESHOLDS.items()))
@@ -70,11 +80,13 @@ def test_critical_r_below_default_bracket_start():
 
 
 @pytest.mark.parametrize("tau", [0, 1, 2, 5, 9, 12])
-def test_methods_agree_on_the_threshold(tau):
+def test_methods_agree_on_the_threshold(monkeypatch, tau):
     tol = 1e-9
-    via_jury = critical_r(tau, tol=tol, method=JURY).r_critical
-    via_oracle = critical_r(tau, tol=tol, method=ORACLE).r_critical
-    assert abs(via_jury - via_oracle) <= 100.0 * tol
+    via_jury = critical_r(tau, tol=tol)
+    monkeypatch.setattr(sweep, "jury_verdict", oracle_verdict)
+    via_oracle = critical_r(tau, tol=tol)
+    assert (via_jury.method, via_oracle.method) == (JURY, ORACLE)
+    assert abs(via_jury.r_critical - via_oracle.r_critical) <= 100.0 * tol
 
 
 @pytest.mark.parametrize("tau", [0, 1, 2, 3, 6, 10])
@@ -112,17 +124,15 @@ def test_critical_r_rejects_bad_tol():
 
 
 def test_bracketing_error_when_no_flip_exists(monkeypatch):
-    from delaylogistic.jury import StabilityVerdict
-
     # the walk's rates, bit for bit: up by doubling to the cap, or down by
     # halving until past the floor
     for status, expected in [(STABLE, [0.1 * 2.0**k for k in range(6)] + [4.0]),
                              (UNSTABLE, [0.1 * 2.0**-k for k in range(28)])]:
         seen = []
 
-        def verdict(tau, r, method=JURY, status=status, seen=seen):
+        def verdict(tau, r, status=status, seen=seen):
             seen.append(r)
-            return StabilityVerdict(status, None, method)
+            return StabilityVerdict(status, None, JURY)
 
         monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
         with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
@@ -146,8 +156,6 @@ def test_critical_r_matches_closed_form_at_long_delay(tau):
 
 
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
-    from delaylogistic.jury import jury_verdict, oracle_verdict
-
     monkeypatch.setattr(sweep, "jury_verdict", oracle_verdict)
     assert critical_r(2).method == "oracle"
 
@@ -158,3 +166,11 @@ def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
     point = critical_r(2)
     assert point.method == "jury+oracle"
     assert point.r_critical == pytest.approx(_candidate_threshold(2), abs=1e-9)
+
+
+def test_critical_r_is_the_closed_form_and_strictly_decreasing():
+    taus = list(range(41)) + [60, 100, 200]
+    found = [critical_r(tau).r_critical for tau in taus]
+    for tau, r_critical in zip(taus, found):
+        assert abs(r_critical - _candidate_threshold(tau)) <= 1e-9, tau
+    assert all(later < earlier for earlier, later in zip(found[:41], found[1:41]))

@@ -3,7 +3,12 @@
 Every input is a flag (no config files, no environment), so a run is fully
 reproducible from its argv. Exit codes: 0 success, 1 usage error (also
 an ``--out`` path that cannot be written), 2 numeric failure (bracketing
-failure, degenerate or out-of-range input).
+failure, degenerate or out-of-range input, such as an ``r * h`` that
+overflows in ``discretize``).
+
+The argument parser is built once per process, at import, and `run` keeps
+no state between calls: each call sees only its own argv, so a process may
+call it any number of times.
 """
 
 from __future__ import annotations
@@ -116,6 +121,11 @@ def _build_parser() -> _Parser:
     for command in sub.choices.values():
         command.add_argument("--out", metavar="PATH", default=None)
     return parser
+
+
+# argparse keeps nothing from one parse to the next (each parse fills a new
+# namespace, and no default is mutable), so one parser serves every call
+_PARSER = _build_parser()
 
 
 def _verdict_payload(verdict: jury.StabilityVerdict) -> dict:
@@ -282,9 +292,8 @@ _NUMERIC_ERRORS = (
 
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         result = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

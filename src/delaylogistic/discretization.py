@@ -38,6 +38,9 @@ class SchemeParams:
             raise ValueError(f"h must be positive and finite, got {self.h!r}")
         if not math.isfinite(self.r):
             raise ValueError(f"r must be finite, got {self.r!r}")
+        # every derivative and step goes through the product r*h
+        if not math.isfinite(self.r * self.h):
+            raise ValueError(f"r * h overflows: r={self.r!r}, h={self.h!r}")
         if self.scheme not in (FORWARD, RATIO):
             raise ValueError(f"scheme must be {FORWARD!r} or {RATIO!r}, got {self.scheme!r}")
 

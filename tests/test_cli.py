@@ -344,6 +344,23 @@ def test_discretize_ratio_large_rate_stays_stable(capsys):
     assert payload["fixed_points"][1]["verdict"]["status"] == "stable"
 
 
+@pytest.mark.parametrize("scheme", ["forward", "ratio"])
+def test_discretize_payload_is_strict_json(capsys, scheme):
+    for r, h in (("1", "1"), ("1e154", "1e154"), ("-3", "0.5")):
+        code, out, _ = _run(capsys, ["discretize", "--scheme", scheme,
+                                     "--r", r, "--h", h, "--K", "1"])
+        assert code == 0
+        json.loads(out, parse_constant=_reject_non_finite)
+
+
+@pytest.mark.parametrize("scheme", ["forward", "ratio"])
+def test_discretize_overflowing_rate_step_is_numeric_failure(capsys, scheme):
+    code, out, err = _run(capsys, ["discretize", "--scheme", scheme,
+                                   "--r", "1e308", "--h", "1e308", "--K", "1"])
+    assert (code, out) == (2, "")
+    assert err == "delaylogistic: error: r * h overflows: r=1e+308, h=1e+308\n"
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["jacobian"],
@@ -420,3 +437,77 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         code, _, err = _run(capsys, argv)
         assert (code, err) == (0, ""), argv
+
+
+# One parser serves every call in a process: these make several calls in a
+# row and check that none of them sees what an earlier one parsed.
+
+def test_out_is_not_carried_to_the_next_call(tmp_path, capsys):
+    argv = ["stability", "--tau", "2", "--r", "0.5", "--point", "nontrivial"]
+    target = tmp_path / "first.json"
+    assert _run(capsys, argv + ["--out", str(target)]) == (0, "", "")
+    written = target.read_text(encoding="utf-8")
+    target.unlink()
+    assert _run(capsys, argv) == (0, written, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seeding_flags_stay_exclusive_across_calls(capsys):
+    base = ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--steps", "3"]
+    history, x0 = ["--history", "0.5,0.8"], ["--x0", "0.2"]
+    code, from_history, _ = _run(capsys, base + history)
+    assert code == 0 and from_history.startswith("step,x\n-1,0.5\n")
+    code, from_x0, _ = _run(capsys, base + x0)
+    assert code == 0
+    assert from_x0 == _run(capsys, base + ["--history", "0.2,0.2"])[1] != from_history
+    for seeding in (history, x0):
+        assert _run(capsys, base + seeding)[0] == 0
+        code, out, err = _run(capsys, base + history + x0)
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+
+
+def test_a_usage_error_leaves_the_next_call_untouched(capsys):
+    argv = ["stability", "--tau", "2", "--r", "0.5", "--point", "nontrivial"]
+    expected = _run(capsys, argv)
+    assert expected[0] == 0 and json.loads(expected[1])["requested_method"] == "jury"
+    # fails for want of --point, after --method has been read
+    assert _run(capsys, argv[:-2] + ["--method", "oracle"])[0] == 1
+    assert _run(capsys, ["jury", "--coeffs", "1,,2"])[0] == 1
+    assert _run(capsys, argv) == expected
+
+
+def test_format_default_returns_after_an_explicit_format(capsys):
+    argv = ["boundary", "--tau-max", "1"]
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0 and out.startswith("tau,r_critical")
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["points"][1]["tau"] == 1
+
+
+def test_usage_text_matches_a_fresh_parser_after_many_calls(capsys, monkeypatch):
+    bad = [[], ["simulate"], ["stability"], ["boundary"], ["tables", "--format", "yaml"],
+           ["jury"], ["discretize"]]
+    expected = []
+    for argv in bad:
+        with pytest.raises(cli.UsageError) as excinfo:
+            cli._build_parser().parse_args(argv)
+        expected.append(f"{excinfo.value}\n")
+
+    def no_second_parser():
+        raise AssertionError("run builds a parser per call")
+
+    monkeypatch.setattr(cli, "_build_parser", no_second_parser)
+    for argv in (["tables", "--format", "json"],
+                 ["simulate", "--r", "0.5", "--K", "1", "--tau", "0", "--x0", "0.5",
+                  "--steps", "2", "--format", "json"],
+                 ["stability", "--tau", "1", "--r", "-0.5", "--point", "trivial",
+                  "--method", "oracle"],
+                 ["discretize", "--scheme", "ratio", "--r", "1", "--h", "2", "--K", "3"],
+                 ["boundary", "--tau-max", "0", "--tol", "1e-6"]):
+        assert _run(capsys, argv)[0] == 0
+    for argv, usage in zip(bad, expected):
+        assert _run(capsys, argv) == (1, "", usage)
+        prog = " ".join(["delaylogistic", *argv[:1]])
+        assert usage.startswith(f"{prog}: ") and f"usage: {prog} [-h]" in usage

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def test_params_validation():
         SchemeParams(r=1.0, K=-1.0, h=1.0, scheme=RATIO)
     with pytest.raises(ValueError):
         SchemeParams(r=1.0, K=1.0, h=1.0, scheme="midpoint")
+    # r and h finite each, but every derivative would be infinite
+    for scheme in (FORWARD, RATIO):
+        for r in (1e308, -1e308):
+            message = f"r * h overflows: r={r!r}, h=1e+308"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SchemeParams(r=r, K=1.0, h=1e308, scheme=scheme)
 
 
 def test_forward_step_values():

@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import pytest
 
 from delaylogistic import sweep
-from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly
+from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly, simulate
 from delaylogistic.jury import (
     JURY,
     MARGINAL,
@@ -174,3 +175,32 @@ def test_critical_r_is_the_closed_form_and_strictly_decreasing():
     for tau, r_critical in zip(taus, found):
         assert abs(r_critical - _candidate_threshold(tau)) <= 1e-9, tau
     assert all(later < earlier for earlier, later in zip(found[:41], found[1:41]))
+
+
+# How the instability appears: just past f(tau) the capacity point loses
+# stability to a complex pair on the unit circle at angle pi / (2 tau + 1),
+# so the population oscillates about K with period 2 (2 tau + 1).
+INSTABILITY_DELAYS = [1, 2, 5, 12, 17, 40]
+
+
+@pytest.mark.parametrize("tau", INSTABILITY_DELAYS)
+def test_dominant_root_crosses_at_the_predicted_angle(tau):
+    verdict = _oracle_nontrivial(tau, (1.0 + 1e-6) * _candidate_threshold(tau))
+    assert verdict.status == UNSTABLE
+    dominant = max(verdict.root_set.roots, key=abs)
+    assert abs(abs(cmath.phase(dominant)) - math.pi / (2 * tau + 1)) <= 1e-6
+
+
+@pytest.mark.parametrize("tau", INSTABILITY_DELAYS)
+def test_oscillation_period_past_the_threshold(tau):
+    period = 2 * (2 * tau + 1)
+    steps = 40 * period
+    params = DelayParams(r=1.02 * _candidate_threshold(tau), K=1.0, tau=tau)
+    trajectory = simulate(params, [1.01] * (tau + 1), steps)
+    assert not trajectory.diverged
+    samples = trajectory.samples
+    up_crossings = [n for (_, before), (n, after) in zip(samples, samples[1:])
+                    if n > steps // 2 and before < params.K <= after]
+    assert len(up_crossings) >= 10
+    spacing = (up_crossings[-1] - up_crossings[0]) / (len(up_crossings) - 1)
+    assert abs(spacing - period) <= 0.02 * period

@@ -1,10 +1,10 @@
 """Command-line front end: stability queries, sweeps, simulations.
 
 Every input is a flag (no config files, no environment), so a run is fully
-reproducible from its argv. Exit codes: 0 success, 1 usage error (also
-an ``--out`` path that cannot be written), 2 numeric failure (bracketing
-failure, degenerate or out-of-range input, such as an ``r * h`` that
-overflows in ``discretize``).
+reproducible from its argv. Exit codes: 0 success (``-h`` too), 1 usage
+error (also an ``--out`` path that cannot be written), 2 numeric failure
+(bracketing failure, degenerate or out-of-range input, such as an
+``r * h`` that overflows in ``discretize``).
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls: each call sees only its own argv, so a process may
@@ -295,6 +295,8 @@ def run(argv: list[str]) -> int:
     try:
         args = _PARSER.parse_args(argv)
         result = _COMMANDS[args.command](args)
+    except SystemExit:  # -h/--help has printed the help; bad usage raises UsageError
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -62,7 +62,6 @@ class Trajectory:
     stop on a non-finite or runaway sample.
     """
 
-    params: DelayParams
     samples: tuple[tuple[int, float], ...]
     diverged: bool = False
 
@@ -115,7 +114,7 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
             diverged = True
             break
     samples = tuple(zip(range(-tau, len(values) - tau), values))
-    return Trajectory(params=params, samples=samples, diverged=diverged)
+    return Trajectory(samples=samples, diverged=diverged)
 
 
 def fixed_points(params: DelayParams) -> tuple[tuple[float, ...], tuple[float, ...]]:

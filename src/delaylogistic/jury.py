@@ -189,17 +189,16 @@ def jury_conditions(table: JuryTable) -> list[ConditionResult]:
     """
     top = table.rows[0]
     m = len(top) - 1
-    top_poly = Polynomial(top)
 
     results: list[ConditionResult] = []
     # boundary evaluations carry rounding noise ~ eps * sum |a_i|
     boundary_scale = sum(abs(c) for c in top)
-    value_at_one = evaluate(top_poly, 1.0)
+    value_at_one = evaluate(top, 1.0)
     results.append(_condition(1, "P(1) > 0",
                               lhs=value_at_one, rhs=0.0,
                               margin=value_at_one, scale=boundary_scale))
 
-    alternating = (-1.0) ** m * evaluate(top_poly, -1.0)
+    alternating = (-1.0) ** m * evaluate(top, -1.0)
     results.append(_condition(2, "(-1)^m P(-1) > 0",
                               lhs=alternating, rhs=0.0,
                               margin=alternating, scale=boundary_scale))

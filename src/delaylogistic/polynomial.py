@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,13 +57,14 @@ class RootSet:
     iterations: int
 
 
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """Evaluate ``p`` at ``z`` by Horner's rule.
+def evaluate(coeffs: Sequence[float], z: complex) -> complex:
+    """Evaluate the polynomial with coefficients ``coeffs`` (descending
+    powers) at ``z`` by Horner's rule.
 
     Returns a float when ``z`` is real, complex otherwise.
     """
     acc = 0.0
-    for c in p.coeffs:
+    for c in coeffs:
         acc = acc * z + c
     return acc
 
@@ -86,21 +88,15 @@ def roots(p: Polynomial) -> RootSet:
 
     A direct solve with ``numpy.roots``: trailing zero coefficients come
     out as exact zero roots. A leading coefficient so small that the
-    monic coefficients overflow raises ``ValueError``.
+    monic coefficients overflow raises ``ValueError``, a zero one
+    :class:`DegeneratePolynomialError`.
     """
-    if p.coeffs[0] == 0.0:
-        raise DegeneratePolynomialError(
-            f"cannot root-find with zero leading coefficient: {p.coeffs!r}")
+    p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     if not math.isfinite(max(map(abs, p.coeffs[1:])) / p.coeffs[0]):
         raise ValueError(f"cannot root-find {p.coeffs!r}: dividing by the leading "
                          f"coefficient {p.coeffs[0]!r} overflows the monic form")
     found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
-    residual = max(abs(evaluate(p, z)) for z in found)
+    residual = max(abs(evaluate(p.coeffs, z)) for z in found)
     return RootSet(found, residual=residual, iterations=0)
-
-
-def spectral_radius(p: Polynomial) -> float:
-    """Largest root modulus of ``p``."""
-    return max(abs(z) for z in roots(p).roots)

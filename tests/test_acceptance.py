@@ -30,7 +30,7 @@ from delaylogistic.jury import (
     jury_verdict,
     oracle_verdict,
 )
-from delaylogistic.polynomial import Polynomial, spectral_radius
+from delaylogistic.polynomial import Polynomial
 from delaylogistic.sweep import boundary_table, critical_r
 from sparse_rows import delay_table, induction_mismatches
 
@@ -95,7 +95,7 @@ def test_criterion_4_test_agrees_with_root_oracle():
             continue
         coeffs[0] = abs(coeffs[0])
         p = Polynomial(coeffs)
-        rho = spectral_radius(p)
+        rho = oracle_verdict(p).witness
         if abs(rho - 1.0) <= 1e-6:
             continue
         checked += 1

@@ -359,6 +359,11 @@ def test_discretize_overflowing_rate_step_is_numeric_failure(capsys, scheme):
                                    "--r", "1e308", "--h", "1e308", "--K", "1"])
     assert (code, out) == (2, "")
     assert err == "delaylogistic: error: r * h overflows: r=1e+308, h=1e+308\n"
+    if scheme == "ratio":  # and the pole of f'(K) = 1 / (1 + rh)
+        code, out, err = _run(capsys, ["discretize", "--scheme", scheme,
+                                       "--r", "-1", "--h", "1", "--K", "1"])
+        assert (code, out) == (2, "")
+        assert err == "delaylogistic: error: ratio map degenerates at r*h = -1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -475,6 +480,24 @@ def test_a_usage_error_leaves_the_next_call_untouched(capsys):
     assert _run(capsys, argv[:-2] + ["--method", "oracle"])[0] == 1
     assert _run(capsys, ["jury", "--coeffs", "1,,2"])[0] == 1
     assert _run(capsys, argv) == expected
+
+
+def test_help_returns_zero_and_leaves_the_next_call_untouched(tmp_path, capsys):
+    # argparse prints the help and exits; run returns 0 instead, writes no
+    # --out file, and the next call gives the same bytes as before
+    expected = _run(capsys, ["tables"])
+    assert expected[0] == 0
+    target = tmp_path / "tables.csv"
+    helps = []
+    for argv in (["-h"], ["tables", "-h"], ["tables", "--out", str(target), "-h"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        helps.append(out)
+        assert _run(capsys, ["tables"]) == expected
+    assert helps[0] == cli._PARSER.format_help()
+    assert helps[1].startswith("usage: delaylogistic tables [-h] [--format {csv,json}]")
+    assert helps[2] == helps[1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_format_default_returns_after_an_explicit_format(capsys):

@@ -19,7 +19,8 @@ from delaylogistic.delay_map import (
     step,
     trivial_stability_range,
 )
-from delaylogistic.polynomial import Polynomial, roots, spectral_radius
+from delaylogistic.jury import oracle_verdict
+from delaylogistic.polynomial import Polynomial, roots
 
 
 def test_params_validation():
@@ -208,7 +209,7 @@ def test_trivial_char_poly_radius_is_abs_one_plus_r():
     rng = random.Random(77)
     for _ in range(30):
         params = DelayParams(r=rng.uniform(-3.0, 3.0), K=1.0, tau=rng.randint(0, 8))
-        rho = spectral_radius(char_poly(params, TRIVIAL))
+        rho = oracle_verdict(char_poly(params, TRIVIAL)).witness
         assert rho == pytest.approx(abs(1.0 + params.r), abs=1e-9)
 
 
@@ -287,7 +288,7 @@ def test_trivial_stability_range_is_minus_two_to_zero(tau):
     for r, inside in ((lo - 1e-9, False), (lo + 1e-9, True), (-1.0, True),
                       (hi - 1e-9, True), (hi + 1e-9, False)):
         p = char_poly(DelayParams(r=r, K=1.0, tau=tau), TRIVIAL)
-        assert (spectral_radius(p) < 1.0) == inside, (tau, r)
+        assert (oracle_verdict(p).witness < 1.0) == inside, (tau, r)
 
 
 def test_trivial_stability_range_rejects_negative_delay():

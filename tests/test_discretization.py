@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -32,6 +33,9 @@ def test_params_validation():
         SchemeParams(r=1.0, K=-1.0, h=1.0, scheme=RATIO)
     with pytest.raises(ValueError):
         SchemeParams(r=1.0, K=1.0, h=1.0, scheme="midpoint")
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^r must be finite, got {r!r}$"):
+            SchemeParams(r=r, K=1.0, h=1.0, scheme=FORWARD)
     # r and h finite each, but every derivative would be infinite
     for scheme in (FORWARD, RATIO):
         for r in (1e308, -1e308):

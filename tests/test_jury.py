@@ -15,7 +15,7 @@ from delaylogistic.jury import (
     jury_verdict,
     oracle_verdict,
 )
-from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial, spectral_radius
+from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial
 from sparse_rows import delay_table, induction_mismatches
 
 
@@ -216,7 +216,7 @@ def test_verdict_falls_back_to_oracle_on_singular_table():
     verdict = jury_verdict(p)
     assert verdict.method == "oracle"
     assert verdict.status == UNSTABLE
-    assert verdict.witness == pytest.approx(spectral_radius(p), abs=1e-9)
+    assert verdict.witness == pytest.approx(oracle_verdict(p).witness, abs=1e-9)
 
 
 def test_table_verdict_carries_its_table_and_conditions():
@@ -265,7 +265,7 @@ def test_verdict_agrees_with_oracle_on_random_sample():
             continue
         coeffs[0] = abs(coeffs[0])
         p = Polynomial(coeffs)
-        rho = spectral_radius(p)
+        rho = oracle_verdict(p).witness
         if abs(rho - 1.0) <= 1e-6:
             continue
         checked += 1

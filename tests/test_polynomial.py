@@ -13,8 +13,11 @@ from delaylogistic.polynomial import (
     evaluate,
     normalize_leading,
     roots,
-    spectral_radius,
 )
+
+
+def _largest_modulus(p):
+    return max(abs(z) for z in roots(p).roots)
 
 
 def test_construction_keeps_coefficients_verbatim():
@@ -38,12 +41,11 @@ def test_construction_rejects_empty_and_non_finite():
     ((1.0, -1.0, 0.0, 0.5), -1.0, -1.5),
 ])
 def test_evaluate_by_direct_substitution(coeffs, z, expected):
-    assert evaluate(Polynomial(coeffs), z) == expected
+    assert evaluate(coeffs, z) == expected
 
 
 def test_evaluate_complex_argument():
-    p = Polynomial((1.0, 0.0, 1.0))  # z^2 + 1
-    assert evaluate(p, 1j) == 0
+    assert evaluate((1.0, 0.0, 1.0), 1j) == 0  # z^2 + 1
 
 
 def test_normalize_leading_keeps_positive():
@@ -95,12 +97,12 @@ def test_roots_constant_rejected():
     ((1.0, -1.0, 0.5), math.sqrt(0.5)),
 ])
 def test_spectral_radius_known_values(coeffs, expected):
-    assert spectral_radius(Polynomial(coeffs)) == pytest.approx(expected, abs=1e-9)
+    assert _largest_modulus(Polynomial(coeffs)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_spectral_radius_exceeds_one_past_the_threshold():
     # rate 1 is beyond the delay-2 stable range, so some root leaves the disk
-    assert spectral_radius(Polynomial((1.0, -1.0, 0.0, 1.0))) > 1.0
+    assert _largest_modulus(Polynomial((1.0, -1.0, 0.0, 1.0))) > 1.0
 
 
 def _random_coeffs(rng, degree):
@@ -146,8 +148,8 @@ def test_roots_agree_with_companion_eigenvalues():
        st.floats(0.5, 2.0))
 def test_normalize_preserves_spectral_radius(tail, lead):
     p = Polynomial([-lead] + tail)
-    assert spectral_radius(normalize_leading(p)) == pytest.approx(
-        spectral_radius(p), abs=1e-12)
+    assert _largest_modulus(normalize_leading(p)) == pytest.approx(
+        _largest_modulus(p), abs=1e-12)
 
 
 def test_companion_family_loses_stability_once_and_for_all():
@@ -156,8 +158,8 @@ def test_companion_family_loses_stability_once_and_for_all():
     # exactly once and keeps growing from there
     for tau in range(0, 11):
         grid = np.linspace(0.02, 2.2, 56)
-        rho = [spectral_radius(Polynomial((1.0, -1.0) + (0.0,) * (tau - 1) + (r,)
-                                          if tau >= 1 else (1.0, r - 1.0)))
+        rho = [_largest_modulus(Polynomial((1.0, -1.0) + (0.0,) * (tau - 1) + (r,)
+                                           if tau >= 1 else (1.0, r - 1.0)))
                for r in grid]
         outside = [value > 1.0 + 1e-9 for value in rho]
         first = outside.index(True)

@@ -141,15 +141,19 @@ def _condition_payload(cond: jury.ConditionResult) -> dict:
 
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
-    """What the verdict rests on: the conditions, or the root moduli and,
-    after a fallback, why the table could not decide."""
+    """What the verdict rests on: the conditions, or the root moduli with
+    their residual and, after a fallback, why the table could not decide.
+
+    The residual is max |P(root)|; it is null when that overflows a double.
+    """
     if verdict.conditions is not None:
         return {"conditions": [_condition_payload(c) for c in verdict.conditions]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
-    payload["root_moduli"] = sorted((abs(z) for z in verdict.root_set.roots),
-                                    reverse=True)
+    roots = verdict.root_set
+    payload["root_moduli"] = sorted((abs(z) for z in roots.roots), reverse=True)
+    payload["root_residual"] = roots.residual if math.isfinite(roots.residual) else None
     return payload
 
 

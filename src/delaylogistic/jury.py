@@ -25,6 +25,14 @@ products that formed its last entry, so a pivot that cancellation left at
 rounding noise is caught. Since the input row is in range too, the
 boundary conditions cannot overflow either.
 
+A row whose interior (every entry but the first and the last two) is
+zeros of one sign hands that shape on: each interior entry of the next
+row is ``last * z - z * first`` for the zero ``z``, again one signed zero.
+From such a row on the table computes only the four distinct entries of
+each row, O(1) instead of O(degree), and writes the zeros in, so it holds
+bit for bit what the full reduction would. The delay family's
+characteristic polynomial has such rows from its first reduced row on.
+
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
 (a zero pivot, such as the constant term of the all-zero fixed point's
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
@@ -85,13 +94,13 @@ class JuryTable:
     shifts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     """One strict inequality, 1-indexed, with its signed slack.
 
     ``margin`` is positive exactly when the inequality holds strictly;
     ``satisfied`` requires ``margin > tolerance``, where ``tolerance`` is
     the MARGIN_TOL band scaled to this condition's operand magnitudes.
+    A named tuple, since a verdict builds one per table row.
     """
 
     index: int
@@ -141,6 +150,13 @@ def jury_table(p: Polynomial) -> JuryTable:
     relative to the input's largest coefficient (input row) or to
     ``a_m**2 + a_0**2`` of the row it was reduced from (reduced rows), and
     ``ValueError`` for degree 0.
+
+    Once a row's interior ``a_1 .. a_(m-2)`` is zeros of one sign ``z``,
+    every later row has that shape, and a row costs O(1) products: the
+    first entry ``a_m * z - a_(m-1) * a_0``, the interior
+    ``a_m * z - z * a_0``, then ``a_m * a_(m-1) - z * a_0`` and
+    ``a_m * a_m - a_0 * a_0``, the very products the full formula forms
+    there. Only the zero-filling of the row stays O(m).
     """
     p = normalize_leading(p)
     if p.degree < 1:
@@ -152,18 +168,40 @@ def jury_table(p: Polynomial) -> JuryTable:
     # row's largest coefficient, then last**2 + first**2 of the row before,
     # so a last entry that cancellation left at rounding noise counts as 0.
     scale = max(map(abs, row))
+    sparse = False
     while len(row) > 3:
         m = len(row) - 1
         first, last = row[0], row[m]
         if abs(last) <= _SINGULAR_TOL * scale:
             name = f"reduced row {len(rows) - 1}" if len(rows) > 1 else "input row"
             raise SingularTableError(f"singular table: {name} ends in {last:.3e}")
-        row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
-                                      for k in range(m)]))
+        sparse = sparse or _uniform_zero_interior(row)
+        if sparse:
+            # the new interior is one signed zero, last * z - z * first, and
+            # a power of two leaves it as it is, so the peak is the live one's
+            z, b = row[1], row[m - 1]
+            (a, b, c), shift = _in_range((last * z - b * first,
+                                          last * b - z * first,
+                                          last * last - first * first))
+            filled = [last * z - z * first] * m
+            filled[0], filled[-2], filled[-1] = a, b, c
+            row = tuple(filled)
+        else:
+            row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
+                                          for k in range(m)]))
         scale = math.ldexp(last * last + first * first, shift)
         rows.append(row)
         shifts.append(shift)
     return JuryTable(tuple(rows), tuple(shifts))
+
+
+def _uniform_zero_interior(row: tuple[float, ...]) -> bool:
+    """Whether ``row[1:-2]`` is all zeros of one sign (0.0 or -0.0)."""
+    interior = row[1:-2]
+    if any(interior):
+        return False
+    sign = math.copysign(1.0, interior[0])
+    return all(math.copysign(1.0, c) == sign for c in interior)
 
 
 def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
@@ -209,12 +247,11 @@ def jury_conditions(table: JuryTable) -> list[ConditionResult]:
                                   margin=top[0] - abs(top[m]),
                                   scale=max(abs(top[m]), top[0])))
     for offset, row in enumerate(table.rows[1:]):
+        last, first = abs(row[-1]), abs(row[0])
         results.append(_condition(
             4 + offset,
             f"|last| > |first| on reduced row {offset + 1}",
-            lhs=abs(row[-1]), rhs=abs(row[0]),
-            margin=abs(row[-1]) - abs(row[0]),
-            scale=max(abs(row[-1]), abs(row[0]))))
+            lhs=last, rhs=first, margin=last - first, scale=max(last, first)))
     return results
 
 

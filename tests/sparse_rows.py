@@ -1,4 +1,5 @@
-"""The delay family's reduction table, held to the induction exactly.
+"""The delay family's reduction table, held to the induction and to a plain
+dense reduction exactly.
 
 From the first reduced row of the table of ``lambda^(tau+1) - lambda^tau +
 r`` on, every entry but those at positions 0, m-1 and m is zero, and each
@@ -11,10 +12,17 @@ table applied to it:
 
 The dense reduction forms exactly these products; each other product it
 pairs them with has a zero factor, and subtracting a zero is exact. So
-the equalities hold with ``==``, not within a tolerance.
+the equalities hold with ``==``, not within a tolerance. ``jury_table``
+forms only these products once a row's interior is zeros of one sign;
+:func:`dense_tables` is the reduction that forms every product, written
+here with numpy and sharing no code with the package, so the two can be
+compared bit for bit, signed zeros included.
 """
 
 import math
+import struct
+
+import numpy as np
 
 from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly
 from delaylogistic.jury import JuryTable, jury_table
@@ -42,3 +50,54 @@ def induction_mismatches(table: JuryTable) -> list[str]:
         if got != expected:
             mismatches.append(f"row {i}: {got!r} != {expected!r}")
     return mismatches
+
+
+def bits(row) -> bytes:
+    """The IEEE bits of a row of floats, so that 0.0 and -0.0 differ."""
+    return struct.pack(f"<{len(row)}d", *row)
+
+
+def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a row whose largest magnitude leaves [2**-256, 2**256] is brought
+    # into [1, 2) by a power of two
+    peak = np.abs(rows).max(axis=1)
+    outside = (peak != 0.0) & ((peak < 2.0 ** -256) | (peak > 2.0 ** 256))
+    shift = np.where(outside, 1 - np.frexp(peak)[1], 0)
+    return (np.ldexp(rows, shift[:, None]) if outside.any() else rows), shift
+
+
+def dense_tables(inputs) -> list:
+    """Reduce each coefficient row of ``inputs`` (all of one length) in full.
+
+    Every entry of every row is ``last * row[k + 1] - row[m - 1 - k] *
+    first``, computed for all inputs at once. Each result is either the
+    rows the table should hold, as their :func:`bits`, and its shifts, or
+    the message of the ``SingularTableError`` the table should raise.
+    """
+    top = np.array(inputs, dtype=float)
+    top[top[:, 0] < 0.0] *= -1.0
+    row, shift = _rescaled(top)
+    bound = np.abs(row).max(axis=1)
+    live = list(range(len(top)))
+    results: list = [([], []) for _ in live]
+    while True:
+        for i, entries, s in zip(live, row.astype("<f8"), shift.tolist()):
+            results[i][0].append(entries.tobytes())
+            results[i][1].append(s)
+        if row.shape[1] <= 3:
+            return results
+        first, last = row[:, :1], row[:, -1:]
+        singular = np.abs(last[:, 0]) <= 1e-12 * bound
+        if singular.any():
+            for i, value in zip(np.compress(singular, live).tolist(),
+                                last[singular, 0].tolist()):
+                depth = len(results[i][0]) - 1
+                name = f"reduced row {depth}" if depth else "input row"
+                results[i] = f"singular table: {name} ends in {value:.3e}"
+            keep = ~singular
+            live = np.compress(keep, live).tolist()
+            row, first, last = row[keep], first[keep], last[keep]
+            if not live:
+                return results
+        row, shift = _rescaled(last * row[:, 1:] - row[:, -2::-1] * first)
+        bound = np.ldexp(last[:, 0] * last[:, 0] + first[:, 0] * first[:, 0], shift)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,6 +18,27 @@ def _run(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Output bytes pinned by SHA-256: a change to the reduction table or to
+# the condition records must leave every one of them as it was. The tau=40
+# negative-rate table has rows whose interior is all -0.0.
+@pytest.mark.parametrize("argv,digest", [
+    (["boundary", "--tau-max", "30", "--format", "json"],
+     "7e0c477509cef254f25a3017e45ba4966af46f85d095d78e6148c55312dbbebd"),
+    (["boundary", "--tau-max", "30", "--format", "csv"],
+     "ca918fad2f23de03d019499b58769993105aa21351340dbb4484662841be6114"),
+    (["stability", "--tau", "40", "--r", "-0.05", "--point", "nontrivial"],
+     "691d539101023254e8b2f447dd83551e86027d8e3b90fa67573de5ba607da513"),
+    (["stability", "--tau", "17", "--r", "0.05", "--point", "nontrivial"],
+     "fd14fbfdbee62b64c5bf3b4430cb8ccc35c0070ba30067ea83aadd452fcda020"),
+    (["jury", "--coeffs", "1,-1,0,0,0,0,-0.3"],
+     "5880a4cf961b613410f0a280e2bda4b25ca60f2ff324506f0115c7bfe71c8099"),
+])
+def test_golden_output_bytes(capsys, argv, digest):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_boundary_json_reproduces_thresholds(capsys):
@@ -205,6 +227,34 @@ def test_stability_oracle_payload_lists_root_moduli(capsys):
     assert moduli[0] > 1.0
 
 
+def test_stability_oracle_payload_shows_the_root_residual(capsys):
+    code, out, _ = _run(capsys, ["stability", "--method", "oracle", "--tau", "2",
+                                 "--r", "0.5", "--point", "nontrivial"])
+    payload = json.loads(out)
+    assert code == 0
+    assert list(payload)[-2:] == ["root_moduli", "root_residual"]
+    assert 0.0 <= payload["root_residual"] <= 1e-12
+
+
+def test_root_residual_that_overflows_is_null(capsys):
+    # a singular table whose roots span 1e295: |P(root)| overflows to nan,
+    # which strict JSON cannot hold
+    code, out, _ = _run(capsys, ["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"])
+    payload = json.loads(out, parse_constant=_reject_non_finite)
+    assert code == 0
+    assert payload["verdict"]["method"] == "oracle"
+    assert payload["root_residual"] is None
+
+
+def test_root_residual_flags_roots_the_oracle_lost():
+    # two roots of modulus ~1 come out as 0 next to the one at 1e308; the
+    # residual is the only sign of it
+    verdict = jury.oracle_verdict(polynomial.Polynomial((1.0, 1e308, 0.0, 1e308)))
+    evidence = cli._evidence_payload(verdict)
+    assert evidence["root_moduli"] == [1e308, 0.0, 0.0]
+    assert evidence["root_residual"] == 1e308
+
+
 def test_jury_subcommand_full_payload(capsys):
     code, out, _ = _run(capsys, ["jury", "--coeffs", "1,-1,0,0.5"])
     payload = json.loads(out)
@@ -273,7 +323,7 @@ def test_stability_notes_why_the_oracle_decided(capsys):
     assert code == 0
     assert payload["verdict"]["method"] == "oracle"
     assert payload["note"].startswith("singular table: input row")
-    assert list(payload)[-2:] == ["note", "root_moduli"]
+    assert list(payload)[-3:] == ["note", "root_moduli", "root_residual"]
     for argv in (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"],
                  ["stability", "--tau", "12", "--r", "-1", "--point", "trivial",
                   "--method", "oracle"]):

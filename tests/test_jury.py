@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, DelayParams, char_poly
 from delaylogistic.jury import (
     MARGINAL,
     STABLE,
@@ -16,7 +17,7 @@ from delaylogistic.jury import (
     oracle_verdict,
 )
 from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial
-from sparse_rows import delay_table, induction_mismatches
+from sparse_rows import bits, delay_table, dense_tables, induction_mismatches
 
 
 def test_table_reduces_cubic_by_hand():
@@ -322,3 +323,57 @@ def test_induction_is_exact_across_delays_and_rates():
         for fraction in (0.01, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 3.0):
             table = delay_table(tau, fraction * threshold)
             assert induction_mismatches(table) == [], (tau, fraction)
+
+
+# jury_table against the dense reduction of sparse_rows, compared by IEEE
+# bits so that a 0.0 where the dense loop writes -0.0 counts as a mismatch;
+# the shifts and the singular-table messages are compared as well.
+
+def _table_bits(p: Polynomial):
+    try:
+        table = jury_table(p)
+    except SingularTableError as exc:
+        return str(exc)
+    return [bits(row) for row in table.rows], list(table.shifts)
+
+
+def test_table_is_bitwise_the_dense_reduction_on_the_delay_family():
+    # both fixed points; from the first reduced row on the capacity point's
+    # rows have an interior of zeros, -0.0 ones at a negative rate
+    for tau in sorted(set(range(61)) | set(range(60, 397, 7))):
+        threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+        rates = ([fraction * threshold
+                  for fraction in (0.01, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 3.0)]
+                 + [-0.3, -1e-3, 0.0, 1.0, 2.0, 1e-300, 1e300])
+        for point in (NONTRIVIAL, TRIVIAL):
+            polys = [char_poly(DelayParams(r=r, K=1.0, tau=tau), point) for r in rates]
+            expected = dense_tables([p.coeffs for p in polys])
+            for r, p, want in zip(rates, polys, expected):
+                assert _table_bits(p) == want, (tau, point, r)
+
+
+def test_table_is_bitwise_the_dense_reduction_on_signed_zero_inputs():
+    rng = random.Random(20261018)
+    by_degree: dict[int, list[Polynomial]] = {degree: [] for degree in range(1, 13)}
+    for _ in range(3000):
+        degree = rng.randint(1, 12)
+        lead = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        rest = [rng.choice((0.0, -0.0)) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+                for _ in range(degree)]
+        by_degree[degree].append(Polynomial([lead] + rest))
+    interiors = {"one sign": 0, "-0.0": 0, "mixed signs": 0}
+    for polys in by_degree.values():
+        expected = dense_tables([p.coeffs for p in polys])
+        for p, want in zip(polys, expected):
+            got = _table_bits(p)
+            assert got == want, p.coeffs
+            if isinstance(got, str):
+                continue
+            for row in jury_table(p).rows:
+                interior = row[1:-2]
+                if interior and not any(interior):
+                    signs = {math.copysign(1.0, c) for c in interior}
+                    interiors["one sign" if len(signs) == 1 else "mixed signs"] += 1
+                    interiors["-0.0"] += signs == {-1.0}
+    # both the O(1) rows and the mixed-sign rows of the dense loop occur
+    assert min(interiors.values()) >= 50, interiors

@@ -141,7 +141,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
         assert seen == expected
 
 
-@pytest.mark.parametrize("tau", [13, 17, 30, 60, 200])
+@pytest.mark.parametrize("tau", [13, 17, 30, 60, 200, 1000])
 @pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
 def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
     verdict = is_stable_nontrivial(tau, fraction * _candidate_threshold(tau))
@@ -149,7 +149,7 @@ def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
     assert verdict.status == expected
 
 
-@pytest.mark.parametrize("tau", [17, 30, 200])
+@pytest.mark.parametrize("tau", [17, 30, 200, 500, 1000])
 def test_critical_r_matches_closed_form_at_long_delay(tau):
     point = critical_r(tau)
     assert point.r_critical == pytest.approx(_candidate_threshold(tau), abs=1e-9)

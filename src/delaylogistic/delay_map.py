@@ -12,18 +12,21 @@ so they agree bitwise.
 
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
-characteristic polynomials come out in closed form.
+characteristic polynomials come out in closed form. Only :func:`jacobian`,
+the tests' reference for those polynomials, needs numpy, and it imports it
+on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .polynomial import Polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
@@ -117,12 +120,6 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     return Trajectory(samples=samples, diverged=diverged)
 
 
-def fixed_points(params: DelayParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The two constant histories: all zeros and all K."""
-    n = params.tau + 1
-    return (0.0,) * n, (params.K,) * n
-
-
 def _fixed_point_level(params: DelayParams, point: str) -> float:
     if point == TRIVIAL:
         return 0.0
@@ -139,6 +136,8 @@ def jacobian(params: DelayParams, point: str) -> np.ndarray:
     (oldest entry) and column tau (newest entry). For tau = 0 both land in
     the single cell and add.
     """
+    import numpy as np
+
     level = _fixed_point_level(params, point)
     n = params.tau + 1
     jac = np.zeros((n, n))

@@ -173,8 +173,15 @@ def jury_table(p: Polynomial) -> JuryTable:
         m = len(row) - 1
         first, last = row[0], row[m]
         if abs(last) <= _SINGULAR_TOL * scale:
-            name = f"reduced row {len(rows) - 1}" if len(rows) > 1 else "input row"
-            raise SingularTableError(f"singular table: {name} ends in {last:.3e}")
+            # in the input's units: the input row's own coefficient, which
+            # its rescale may have underflowed, or a row's power of two
+            if len(rows) == 1:
+                where = f"input row ends in {p.coeffs[-1]:.3e}"
+            else:
+                where = f"reduced row {len(rows) - 1} ends in {last:.3e}"
+                if shifts[-1]:
+                    where += f" (row scaled by 2**{shifts[-1]})"
+            raise SingularTableError(f"singular table: {where}")
         sparse = sparse or _uniform_zero_interior(row)
         if sparse:
             # the new interior is one signed zero, last * z - z * first, and

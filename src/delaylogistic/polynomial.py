@@ -3,7 +3,9 @@
 Coefficients are stored in descending powers: ``coeffs[0]`` multiplies the
 highest power and the degree is ``len(coeffs) - 1``. The roots are the
 eigenvalues of the companion matrix, so the oracle shares no code with
-the coefficient-based stability tests that it cross-checks.
+the coefficient-based stability tests that it cross-checks. Only
+:func:`roots` needs numpy, and it imports it on its first call, so a
+verdict that the coefficient table decides never loads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 class DegeneratePolynomialError(ValueError):
@@ -48,8 +48,10 @@ class RootSet:
     """All complex roots of a polynomial with an accuracy diagnostic.
 
     ``residual`` is max |P(root)| over the reported roots, evaluated on the
-    original coefficients; ``iterations`` counts correction sweeps, which
-    is 0 for the direct eigenvalue solve.
+    original coefficients. ``iterations`` is always 0, since the
+    eigenvalue solve is direct; it stays only while the benchmark's traced
+    runs (``bench/spans.py``) read it, and goes with the benchmark's next
+    change.
     """
 
     roots: tuple[complex, ...]
@@ -91,6 +93,8 @@ def roots(p: Polynomial) -> RootSet:
     monic coefficients overflow raises ``ValueError``, a zero one
     :class:`DegeneratePolynomialError`.
     """
+    import numpy as np
+
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")

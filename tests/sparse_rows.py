@@ -91,9 +91,18 @@ def dense_tables(inputs) -> list:
         if singular.any():
             for i, value in zip(np.compress(singular, live).tolist(),
                                 last[singular, 0].tolist()):
+                # quoted in the input's units: the input row by its own
+                # coefficient, a rescaled reduced row with its power of two
                 depth = len(results[i][0]) - 1
-                name = f"reduced row {depth}" if depth else "input row"
-                results[i] = f"singular table: {name} ends in {value:.3e}"
+                row_shift = results[i][1][-1]
+                if not depth:
+                    message = f"input row ends in {top[i, -1]:.3e}"
+                elif row_shift:
+                    message = (f"reduced row {depth} ends in {value:.3e} "
+                               f"(row scaled by 2**{row_shift})")
+                else:
+                    message = f"reduced row {depth} ends in {value:.3e}"
+                results[i] = f"singular table: {message}"
             keep = ~singular
             live = np.compress(keep, live).tolist()
             row, first, last = row[keep], first[keep], last[keep]

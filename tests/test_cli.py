@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from collections import Counter
@@ -284,6 +286,24 @@ def test_jury_subcommand_singular_table_notes_fallback(capsys):
     assert "root_moduli" in payload
 
 
+@pytest.mark.parametrize("coeffs, note", [
+    # the input row is scaled by 2**-664, which takes 1e-300 to 0: the note
+    # quotes the coefficient as given
+    ("1,1e200,0,1e-300", "singular table: input row ends in 1.000e-300"),
+    # reduced row 1 is scaled by 2**465 and ends in an exact 0
+    ("1e-70,2e-70,3e-70,4e-70,1e-70",
+     "singular table: reduced row 1 ends in 0.000e+00 (row scaled by 2**465)"),
+    # no row is rescaled: the note is as it always was
+    ("1,1,0,0,1.25,0.5", "singular table: reduced row 2 ends in 0.000e+00"),
+], ids=["input-row", "rescaled-reduced-row", "reduced-row"])
+def test_singular_note_is_in_the_input_units(capsys, coeffs, note):
+    code, out, _ = _run(capsys, ["jury", "--coeffs", coeffs])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["verdict"]["method"] == "oracle"
+    assert payload["note"] == f"{note}; verdict taken from the root oracle"
+
+
 def test_jury_payload_carries_the_row_shifts(capsys):
     # tau = 30 delay polynomial at half its threshold: row 19 is scaled by
     # 2**503, and the payload alone recomputes it from row 18
@@ -330,6 +350,50 @@ def test_stability_notes_why_the_oracle_decided(capsys):
         code, out, _ = _run(capsys, argv)
         assert code == 0
         assert "note" not in json.loads(out)
+
+
+# One call of each command the reduction table decides; none calls numpy.
+_TABLE_DECIDED_ARGV = [
+    ["jury", "--coeffs", "1,-1,0,0.5"],
+    ["stability", "--tau", "3", "--r", "0.3", "--point", "nontrivial"],
+    ["boundary", "--tau-max", "5"],
+    ["tables"],
+    ["simulate", "--r", "0.5", "--K", "1", "--tau", "2", "--x0", "0.5", "--steps", "20"],
+    ["discretize", "--scheme", "ratio", "--r", "1", "--h", "1", "--K", "1"],
+]
+
+_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from delaylogistic import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_table_decided_commands_start_without_numpy(capsys):
+    # this process has numpy loaded already, so the check runs in fresh
+    # interpreters: one that calls every command through cli.run, and the
+    # `python -m` start that the benchmark times, logged by -X importtime
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IN_FRESH_INTERPRETER,
+                           json.dumps(_TABLE_DECIDED_ARGV)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(_TABLE_DECIDED_ARGV),
+                                       "numpy": False}
+
+    argv = _TABLE_DECIDED_ARGV[0]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "delaylogistic.cli",
+                           *argv], capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = _run(capsys, argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "delaylogistic.jury" in imported
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
 
 
 def _count_calls(monkeypatch, names):

@@ -13,7 +13,6 @@ from delaylogistic.delay_map import (
     TRIVIAL,
     DelayParams,
     char_poly,
-    fixed_points,
     jacobian,
     simulate,
     step,
@@ -21,6 +20,12 @@ from delaylogistic.delay_map import (
 )
 from delaylogistic.jury import oracle_verdict
 from delaylogistic.polynomial import Polynomial, roots
+
+
+def _fixed_points(params):
+    """The two constant histories, all zeros and all K."""
+    n = params.tau + 1
+    return (0.0,) * n, (params.K,) * n
 
 
 def test_params_validation():
@@ -38,7 +43,7 @@ def test_step_direct_substitution():
 
 def test_step_fixes_both_constant_histories():
     params = DelayParams(1.7, 2800.0, 3)
-    zero, capacity = fixed_points(params)
+    zero, capacity = _fixed_points(params)
     assert step(params, zero) == zero
     assert step(params, capacity) == capacity
 
@@ -58,15 +63,9 @@ def test_step_shifts_history():
 @given(st.floats(-50.0, 50.0), st.floats(1e-3, 1e5), st.integers(0, 20))
 def test_fixed_point_invariance_randomized(r, K, tau):
     params = DelayParams(r=r, K=K, tau=tau)
-    zero, capacity = fixed_points(params)
+    zero, capacity = _fixed_points(params)
     assert step(params, zero) == zero
     assert step(params, capacity) == capacity
-
-
-def test_fixed_points_shapes_and_values():
-    assert fixed_points(DelayParams(0.1, 2800.0, 0)) == ((0.0,), (2800.0,))
-    assert fixed_points(DelayParams(0.1, 1.0, 2)) == ((0.0,) * 3, (1.0,) * 3)
-    assert fixed_points(DelayParams(0.1, 5.0, 3)) == ((0.0,) * 4, (5.0,) * 4)
 
 
 def test_simulate_constant_at_fixed_points():
@@ -183,7 +182,7 @@ def test_jacobian_matches_finite_differences():
         params = DelayParams(r=rng.uniform(-2.0, 2.5),
                              K=rng.uniform(0.5, 4000.0),
                              tau=rng.randint(0, 12))
-        zero, capacity = fixed_points(params)
+        zero, capacity = _fixed_points(params)
         for point, state in ((TRIVIAL, zero), (NONTRIVIAL, capacity)):
             analytic = jacobian(params, point)
             numeric = _finite_difference_jacobian(params, state)

@@ -175,10 +175,9 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
     else:
         init = [args.x0] * (args.tau + 1)
     trajectory = delay_map.simulate(params, init, args.steps)
+    samples = enumerate(trajectory.values, trajectory.first_step)
     if args.format == "csv":
-        lines = ["step,x"]
-        lines += [f"{n},{x:.17g}" for n, x in trajectory.samples]
-        return lines
+        return ["step,x"] + [f"{n},{x:.17g}" for n, x in samples]
     # json.dumps(indent=2) never uses the C encoder, so the samples, which
     # are nearly all of the document, are laid out here exactly as it would
     # lay them out, around a frame it renders with one placeholder sample
@@ -187,10 +186,10 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
         "diverged": trajectory.diverged,
         "samples": [0],
     }, indent=2).split("\n    0\n")
-    samples = ",\n".join(
+    body = ",\n".join(
         f'    {{\n      "step": {n},\n      "x": {_json_float(x)}\n    }}'
-        for n, x in trajectory.samples)
-    return [head, samples, tail]
+        for n, x in samples)
+    return [head, body, tail]
 
 
 def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:

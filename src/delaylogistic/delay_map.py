@@ -5,10 +5,10 @@ first, advanced by
 
     x_{n+1} = x_n + r * x_n * (1 - x_{n-tau} / K)
 
-:func:`step` maps one history to the next; :func:`simulate` keeps every
-sample and reads ``x_{n-tau}`` off its own record, so a long run costs
-O(1) per step at any delay. Both apply the update through ``_advance``,
-so they agree bitwise.
+:func:`step` maps one history to the next; :func:`simulate` records
+``values[i]``, ``x`` at step ``first_step + i``, and reads ``x_{n-tau}``
+off that record, so a long run costs O(1) per step at any delay. Both
+apply the update through ``_advance``, so they agree bitwise.
 
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
@@ -58,14 +58,14 @@ class DelayParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: (step, value) samples, the seeded history included.
-
-    History entries occupy steps ``-tau .. 0`` so that the sample at step
-    ``n`` is exactly ``x_n`` of the recurrence. ``diverged`` marks an early
-    stop on a non-finite or runaway sample.
+    """Recorded run, the seeded history included: ``values[i]`` is ``x``
+    at step ``first_step + i``, with ``first_step = -tau``, so the value
+    at step ``n`` is exactly ``x_n`` of the recurrence. ``diverged`` marks
+    an early stop on a non-finite or runaway value.
     """
 
-    samples: tuple[tuple[int, float], ...]
+    values: tuple[float, ...]
+    first_step: int
     diverged: bool = False
 
 
@@ -91,12 +91,13 @@ def step(params: DelayParams, state: Sequence[float]) -> tuple[float, ...]:
 def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajectory:
     """Run ``n_steps`` map applications from the seeded history.
 
-    The record is the history: ``x_{n-tau}`` is always ``tau`` places
-    behind ``x_n`` in the list of samples, so each step costs O(1) whatever
-    the delay, and gives bitwise the same value as :func:`step`.
+    The record is the history: ``values[i]`` is ``x`` at step
+    ``first_step + i``, so ``x_{n-tau}`` is always ``tau`` places behind
+    ``x_n``, each step costs O(1) whatever the delay, and gives bitwise the
+    same value as :func:`step`.
 
-    Stops early with ``diverged=True`` once a sample is non-finite or
-    exceeds ``DIVERGENCE_FACTOR * K`` in magnitude; the offending sample is
+    Stops early with ``diverged=True`` once a value is non-finite or
+    exceeds ``DIVERGENCE_FACTOR * K`` in magnitude; the offending value is
     kept in the record.
     """
     state = _check_state(params, init)
@@ -116,8 +117,7 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
         if not math.isfinite(x) or abs(x) > limit:
             diverged = True
             break
-    samples = tuple(zip(range(-tau, len(values) - tau), values))
-    return Trajectory(samples=samples, diverged=diverged)
+    return Trajectory(tuple(values), -tau, diverged)
 
 
 def _fixed_point_level(params: DelayParams, point: str) -> float:

@@ -118,9 +118,9 @@ class StabilityVerdict:
 
     ``status`` is one of stable / unstable / marginal. For an unstable
     coefficient-test verdict ``witness`` is the first failed condition
-    index; for oracle verdicts it is the spectral radius. ``method``
-    records which test produced the verdict: JURY ("jury") or ORACLE
-    ("oracle").
+    index; for oracle verdicts it is the spectral radius. ``method`` names
+    the test: JURY ("jury"), ORACLE ("oracle") or "derivative" (a one-step
+    scheme of :mod:`discretization`, whose witness is the derivative).
 
     The evidence fields do not take part in equality. A coefficient-test
     verdict carries its ``conditions`` and its ``table``; an oracle

@@ -63,7 +63,9 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:
     The bracket is found by one walk from r = 0.1: up by doubling (capped
     at 4.0) while the rate is stable, down by halving while it is not,
     which the larger delays need once the threshold drops below 0.1. The
-    first rate on the other side closes the bracket. Raises
+    first rate on the other side closes the bracket. Bisection stops once
+    the bracket is no wider than ``tol``, or once its ends are adjacent
+    doubles, so a ``tol`` below the float spacing ends at one ulp. Raises
     :class:`BracketingError` when no flip exists in range, which for this
     family signals a defect.
     """
@@ -89,6 +91,8 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles: a finer tol cannot be met
+            break
         if stable(mid):
             lo = mid
         else:

@@ -141,7 +141,7 @@ def test_criterion_7_blowfly_oscillation_persists():
     start = time.perf_counter()
     params = DelayParams(r=0.106, K=2800.0, tau=17)
     trajectory = simulate(params, (1400.0,) * 18, 2000)
-    values = [x for _, x in trajectory.samples]
+    values = trajectory.values
     tail = values[-500:]
     deviation = float(np.std(tail))
     ok = (not trajectory.diverged and len(tail) == 500

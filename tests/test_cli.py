@@ -22,9 +22,10 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-# Output bytes pinned by SHA-256: a change to the reduction table or to
-# the condition records must leave every one of them as it was. The tau=40
-# negative-rate table has rows whose interior is all -0.0.
+# Output bytes pinned by SHA-256: a change to the reduction table, to the
+# condition records or to the trajectory record must leave every one of
+# them as it was. The tau=40 negative-rate table has rows whose interior is
+# all -0.0; the last simulate run diverges to a nan, printed as null.
 @pytest.mark.parametrize("argv,digest", [
     (["boundary", "--tau-max", "30", "--format", "json"],
      "7e0c477509cef254f25a3017e45ba4966af46f85d095d78e6148c55312dbbebd"),
@@ -36,6 +37,15 @@ def _run(capsys, argv):
      "fd14fbfdbee62b64c5bf3b4430cb8ccc35c0070ba30067ea83aadd452fcda020"),
     (["jury", "--coeffs", "1,-1,0,0,0,0,-0.3"],
      "5880a4cf961b613410f0a280e2bda4b25ca60f2ff324506f0115c7bfe71c8099"),
+    (["simulate", "--r", "0.106", "--K", "2800", "--tau", "17", "--x0", "1400",
+      "--steps", "2000"],
+     "8c5292a6ba465eafcd4c7cae2e1b93f076b2128e2a17f3cf49f233172922245e"),
+    (["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--history", "0.5,0.8",
+      "--steps", "10", "--format", "json"],
+     "bd39c98dadf41608d41ec0e2e3e523715a68f1f09cdb8ab7a1afc00194d4a395"),
+    (["simulate", "--r", "1e308", "--K", "1", "--tau", "2", "--history", "1,-3,1e300",
+      "--steps", "5", "--format", "json"],
+     "c735d3fde39379c35d27138bc337e5cbc7d53260a4cae195f065f9f9b3600edc"),
 ])
 def test_golden_output_bytes(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
@@ -55,6 +65,27 @@ def test_boundary_json_reproduces_thresholds(capsys):
     assert payload["monotone_decreasing"] is True
     assert all(p["method"] == "jury" for p in payload["points"])
     assert all(p["bracket_width"] <= 1e-10 for p in payload["points"])
+
+
+def _env_with_package() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_boundary_tol_below_float_spacing_stops_at_adjacent_doubles():
+    # a bisection that cannot meet its tol would never return, so it runs
+    # in a child that the timeout kills, failing instead of hanging
+    proc = subprocess.run([sys.executable, "-m", "delaylogistic.cli", "boundary",
+                           "--tau-max", "3", "--tol", "1e-300"],
+                          capture_output=True, text=True, env=_env_with_package(),
+                          timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    points = json.loads(proc.stdout)["points"]
+    assert [p["tau"] for p in points] == [0, 1, 2, 3]
+    for p in points:
+        assert p["bracket_width"] == math.ulp(p["r_critical"]), p
 
 
 def test_boundary_csv_format(capsys):
@@ -138,8 +169,9 @@ def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau
     init = ([float(v) for v in seeding[1].split(",")] if seeding[0] == "--history"
             else [float(seeding[1])] * (tau + 1))
     trajectory = simulate(params, init, steps)
+    samples = list(enumerate(trajectory.values, -tau))
     if fmt == "csv":
-        lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in trajectory.samples]
+        lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in samples]
         assert out == "\n".join(lines) + "\n"
     else:
         # strict JSON: the non-finite sample that ends a diverged run is null
@@ -147,7 +179,7 @@ def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau
             "r": params.r, "K": params.K, "tau": params.tau,
             "diverged": trajectory.diverged,
             "samples": [{"step": n, "x": x if math.isfinite(x) else None}
-                        for n, x in trajectory.samples],
+                        for n, x in samples],
         }, indent=2, allow_nan=False) + "\n"
         json.loads(out, parse_constant=_reject_non_finite)
 
@@ -375,9 +407,7 @@ def test_table_decided_commands_start_without_numpy(capsys):
     # this process has numpy loaded already, so the check runs in fresh
     # interpreters: one that calls every command through cli.run, and the
     # `python -m` start that the benchmark times, logged by -X importtime
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _env_with_package()
     proc = subprocess.run([sys.executable, "-c", _IN_FRESH_INTERPRETER,
                            json.dumps(_TABLE_DECIDED_ARGV)],
                           capture_output=True, text=True, env=env, timeout=60)

@@ -72,15 +72,15 @@ def test_simulate_constant_at_fixed_points():
     params = DelayParams(1.2, 3.0, 2)
     for level in (0.0, 3.0):
         trajectory = simulate(params, (level,) * 3, 40)
-        assert all(x == level for _, x in trajectory.samples)
+        assert all(x == level for x in trajectory.values)
         assert not trajectory.diverged
 
 
 def test_simulate_steps_and_sample_indexing():
     params = DelayParams(0.0, 1.0, 2)
     trajectory = simulate(params, (0.3, 0.3, 0.3), 5)
-    assert [n for n, _ in trajectory.samples] == [-2, -1, 0, 1, 2, 3, 4, 5]
-    assert all(x == 0.3 for _, x in trajectory.samples)
+    assert trajectory.first_step == -2
+    assert trajectory.values == (0.3,) * 8  # steps -2 .. 5
 
 
 def _stepwise_run(params, init, n_steps):
@@ -115,17 +115,16 @@ def test_simulate_records_are_recomputable():
         trajectory = simulate(params, init, n_steps)
         values, diverged = _stepwise_run(params, init, n_steps)
         assert trajectory.diverged == diverged, params
-        assert [n for n, _ in trajectory.samples] == list(
-            range(-params.tau, len(values) - params.tau)), params
-        assert _bits(x for _, x in trajectory.samples) == _bits(values), params
-    assert math.isnan(trajectory.samples[-1][1])  # the last run reaches its NaN
+        assert trajectory.first_step == -params.tau, params
+        assert _bits(trajectory.values) == _bits(values), params
+    assert math.isnan(trajectory.values[-1])  # the last run reaches its NaN
 
 
 def test_simulate_flags_divergence_and_stops():
     trajectory = simulate(DelayParams(3.0, 1.0, 1), (0.5, 0.5), 200)
     assert trajectory.diverged
-    assert len(trajectory.samples) < 200
-    assert all(math.isfinite(x) for _, x in trajectory.samples[:-1])
+    assert len(trajectory.values) < 200
+    assert all(math.isfinite(x) for x in trajectory.values[:-1])
 
 
 def test_simulate_rejects_bad_inputs():

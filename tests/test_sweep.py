@@ -198,8 +198,9 @@ def test_oscillation_period_past_the_threshold(tau):
     params = DelayParams(r=1.02 * _candidate_threshold(tau), K=1.0, tau=tau)
     trajectory = simulate(params, [1.01] * (tau + 1), steps)
     assert not trajectory.diverged
-    samples = trajectory.samples
-    up_crossings = [n for (_, before), (n, after) in zip(samples, samples[1:])
+    values = trajectory.values
+    pairs = enumerate(zip(values, values[1:]), trajectory.first_step + 1)
+    up_crossings = [n for n, (before, after) in pairs  # n is the step of after
                     if n > steps // 2 and before < params.K <= after]
     assert len(up_crossings) >= 10
     spacing = (up_crossings[-1] - up_crossings[0]) / (len(up_crossings) - 1)

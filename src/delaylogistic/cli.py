@@ -141,13 +141,15 @@ def _condition_payload(cond: jury.ConditionResult) -> dict:
 
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
-    """What the verdict rests on: the conditions, or the root moduli with
-    their residual and, after a fallback, why the table could not decide.
+    """What the verdict rests on: the conditions read off its table, or the
+    root moduli with their residual and, after a fallback, why the table
+    could not decide.
 
     The residual is max |P(root)|; it is null when that overflows a double.
     """
-    if verdict.conditions is not None:
-        return {"conditions": [_condition_payload(c) for c in verdict.conditions]}
+    if verdict.table is not None:
+        return {"conditions": [_condition_payload(c)
+                               for c in jury.jury_conditions(verdict.table)]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"

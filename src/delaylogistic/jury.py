@@ -28,10 +28,13 @@ boundary conditions cannot overflow either.
 A row whose interior (every entry but the first and the last two) is
 zeros of one sign hands that shape on: each interior entry of the next
 row is ``last * z - z * first`` for the zero ``z``, again one signed zero.
-From such a row on the table computes only the four distinct entries of
-each row, O(1) instead of O(degree), and writes the zeros in, so it holds
-bit for bit what the full reduction would. The delay family's
-characteristic polynomial has such rows from its first reduced row on.
+From such a row on the table computes and keeps only the four distinct
+entries of each row, O(1) instead of O(degree); written out with their
+zeros, they are bit for bit what the full reduction would hold. The
+verdict reads each reduced row's first and last entries and builds no
+condition record, so it too costs O(1) per such row. The delay family's
+characteristic polynomial has such rows from its first reduced row on,
+so its verdict costs O(degree).
 
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
@@ -39,15 +42,15 @@ cross-checking and as a fallback when the table is genuinely singular
 characteristic polynomial). Both verdicts, and any other test that
 compares a modulus with 1, apply the one unit-circle rule of
 :func:`classify_modulus`. Each verdict carries the evidence it rests on:
-the conditions and the table, or the root set and, after a fallback, the
-reason the table could not decide.
+the table, from which :func:`jury_conditions` reads the conditions, or
+the root set and, after a fallback, the reason the table could not decide.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
@@ -82,7 +85,14 @@ class SingularTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class JuryTable:
-    """Reduction rows; ``rows[0]`` is the input coefficient row.
+    """Reduction rows, kept as their live entries.
+
+    ``dense`` holds the rows in full, from the input coefficient row down
+    to the first row whose interior is zeros of one sign (or to the last
+    row, if none is). Every later row is that shape too, and ``quads``
+    holds one ``(first, zero, penultimate, last)`` per such row: its
+    entries at positions 0, 1 (the zero that fills the interior), m-1
+    and m. :attr:`rows` expands them.
 
     ``shifts[i]`` is the exponent of the power of two that row ``i`` was
     multiplied by (the input row as given, a reduced row after its
@@ -90,8 +100,21 @@ class JuryTable:
     [2**-256, 2**256], which is the case for all ordinary inputs.
     """
 
-    rows: tuple[tuple[float, ...], ...]
+    dense: tuple[tuple[float, ...], ...]
+    quads: tuple[tuple[float, float, float, float], ...]
     shifts: tuple[int, ...]
+
+    @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        """Every row in full, ``rows[0]`` the input row; O(degree**2)."""
+        rows = list(self.dense)
+        width = len(rows[-1])
+        for first, zero, penultimate, last in self.quads:
+            width -= 1
+            row = [zero] * width
+            row[0], row[-2], row[-1] = first, penultimate, last
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 class ConditionResult(NamedTuple):
@@ -100,7 +123,7 @@ class ConditionResult(NamedTuple):
     ``margin`` is positive exactly when the inequality holds strictly;
     ``satisfied`` requires ``margin > tolerance``, where ``tolerance`` is
     the MARGIN_TOL band scaled to this condition's operand magnitudes.
-    A named tuple, since a verdict builds one per table row.
+    A named tuple, since :func:`jury_conditions` builds one per table row.
     """
 
     index: int
@@ -123,22 +146,22 @@ class StabilityVerdict:
     scheme of :mod:`discretization`, whose witness is the derivative).
 
     The evidence fields do not take part in equality. A coefficient-test
-    verdict carries its ``conditions`` and its ``table``; an oracle
-    verdict carries its ``root_set``, and ``reason`` says why the table
-    could not decide when the oracle stood in for it.
+    verdict carries its ``table``, from which :func:`jury_conditions`
+    reads the conditions; an oracle verdict carries its ``root_set``, and
+    ``reason`` says why the table could not decide when the oracle stood
+    in for it.
     """
 
     status: str
     witness: float | int | None
     method: str
-    conditions: tuple[ConditionResult, ...] | None = field(default=None, compare=False)
     table: JuryTable | None = field(default=None, compare=False)
     root_set: RootSet | None = field(default=None, compare=False)
     reason: str | None = field(default=None, compare=False)
 
 
 def jury_table(p: Polynomial) -> JuryTable:
-    """Build the full reduction table down to the three-entry row.
+    """Reduce ``p`` down to the three-entry row.
 
     At degrees 1 and 2 the table is the input row alone. For a row
     ``(a_0, ..., a_m)`` the successor entries are
@@ -156,50 +179,64 @@ def jury_table(p: Polynomial) -> JuryTable:
     first entry ``a_m * z - a_(m-1) * a_0``, the interior
     ``a_m * z - z * a_0``, then ``a_m * a_(m-1) - z * a_0`` and
     ``a_m * a_m - a_0 * a_0``, the very products the full formula forms
-    there. Only the zero-filling of the row stays O(m).
+    there. Those four entries are all the table keeps of such a row, so
+    from there on it costs O(1) time and space per row.
     """
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError(f"reduction table needs degree >= 1, got {p.degree}")
     row, shift = _in_range(p.coeffs)
-    rows = [row]
+    dense = [row]
     shifts = [shift]
     # |last| is held against the magnitude it was computed at: the input
     # row's largest coefficient, then last**2 + first**2 of the row before,
     # so a last entry that cancellation left at rounding noise counts as 0.
     scale = max(map(abs, row))
-    sparse = False
     while len(row) > 3:
         m = len(row) - 1
         first, last = row[0], row[m]
         if abs(last) <= _SINGULAR_TOL * scale:
-            # in the input's units: the input row's own coefficient, which
-            # its rescale may have underflowed, or a row's power of two
-            if len(rows) == 1:
-                where = f"input row ends in {p.coeffs[-1]:.3e}"
-            else:
-                where = f"reduced row {len(rows) - 1} ends in {last:.3e}"
-                if shifts[-1]:
-                    where += f" (row scaled by 2**{shifts[-1]})"
-            raise SingularTableError(f"singular table: {where}")
-        sparse = sparse or _uniform_zero_interior(row)
-        if sparse:
-            # the new interior is one signed zero, last * z - z * first, and
-            # a power of two leaves it as it is, so the peak is the live one's
-            z, b = row[1], row[m - 1]
-            (a, b, c), shift = _in_range((last * z - b * first,
-                                          last * b - z * first,
-                                          last * last - first * first))
-            filled = [last * z - z * first] * m
-            filled[0], filled[-2], filled[-1] = a, b, c
-            row = tuple(filled)
-        else:
-            row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
-                                          for k in range(m)]))
+            raise _singular(p, shifts, last)
+        if _uniform_zero_interior(row):
+            break
+        row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
+                                      for k in range(m)]))
         scale = math.ldexp(last * last + first * first, shift)
-        rows.append(row)
+        dense.append(row)
         shifts.append(shift)
-    return JuryTable(tuple(rows), tuple(shifts))
+    else:
+        return JuryTable(tuple(dense), (), tuple(shifts))
+
+    # the interior stays one signed zero, last * zero - zero * first, and a
+    # power of two leaves it as it is, so the peak is the live entries'
+    first, zero, penultimate, last = row[0], row[1], row[-2], row[-1]
+    quads = []
+    for width in range(len(row) - 1, 2, -1):
+        (new_first, penultimate, new_last), shift = _in_range(
+            (last * zero - penultimate * first,
+             last * penultimate - zero * first,
+             last * last - first * first))
+        zero = last * zero - zero * first
+        scale = math.ldexp(last * last + first * first, shift)
+        first, last = new_first, new_last
+        quads.append((first, zero, penultimate, last))
+        shifts.append(shift)
+        if width > 3 and abs(last) <= _SINGULAR_TOL * scale:
+            raise _singular(p, shifts, last)
+    return JuryTable(tuple(dense), tuple(quads), tuple(shifts))
+
+
+def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
+    """The error for the newest row, which ends in ``last``, quoted in the
+    input's units: the input row by its own coefficient, which its rescale
+    may have underflowed, a reduced row with its power of two."""
+    if len(shifts) == 1:
+        where = f"input row ends in {p.coeffs[-1]:.3e}"
+    else:
+        where = f"reduced row {len(shifts) - 1} ends in {last:.3e}"
+        if shifts[-1]:
+            where += f" (row scaled by 2**{shifts[-1]})"
+    return SingularTableError(f"singular table: {where}")
 
 
 def _uniform_zero_interior(row: tuple[float, ...]) -> bool:
@@ -232,43 +269,45 @@ def jury_conditions(table: JuryTable) -> list[ConditionResult]:
     |last| > |first| test. The first three are evaluated on the input row,
     which the table has brought into [2**-256, 2**256].
     """
-    top = table.rows[0]
+    return [ConditionResult(index, _describe(index), lhs, rhs,
+                            margin > tolerance, margin, tolerance)
+            for index, (lhs, rhs, margin, tolerance)
+            in enumerate(_condition_terms(table), start=1)]
+
+
+_INPUT_ROW_TESTS = ("P(1) > 0", "(-1)^m P(-1) > 0", "|a_m| < a_0")
+
+
+def _describe(index: int) -> str:
+    if index <= len(_INPUT_ROW_TESTS):
+        return _INPUT_ROW_TESTS[index - 1]
+    return f"|last| > |first| on reduced row {index - len(_INPUT_ROW_TESTS)}"
+
+
+def _condition_terms(table: JuryTable) -> Iterator[tuple[float, float, float, float]]:
+    """``(lhs, rhs, margin, tolerance)`` of each condition, in index order.
+
+    ``tolerance`` is the MARGIN_TOL band scaled to the operands. A reduced
+    row's condition reads only its first and last entries, so the rows
+    are never expanded.
+    """
+    top = table.dense[0]
     m = len(top) - 1
-
-    results: list[ConditionResult] = []
     # boundary evaluations carry rounding noise ~ eps * sum |a_i|
-    boundary_scale = sum(abs(c) for c in top)
+    boundary_tolerance = MARGIN_TOL * sum(abs(c) for c in top)
     value_at_one = evaluate(top, 1.0)
-    results.append(_condition(1, "P(1) > 0",
-                              lhs=value_at_one, rhs=0.0,
-                              margin=value_at_one, scale=boundary_scale))
-
+    yield value_at_one, 0.0, value_at_one, boundary_tolerance
     alternating = (-1.0) ** m * evaluate(top, -1.0)
-    results.append(_condition(2, "(-1)^m P(-1) > 0",
-                              lhs=alternating, rhs=0.0,
-                              margin=alternating, scale=boundary_scale))
-
+    yield alternating, 0.0, alternating, boundary_tolerance
     if m >= 2:
-        results.append(_condition(3, "|a_m| < a_0",
-                                  lhs=abs(top[m]), rhs=top[0],
-                                  margin=top[0] - abs(top[m]),
-                                  scale=max(abs(top[m]), top[0])))
-    for offset, row in enumerate(table.rows[1:]):
-        last, first = abs(row[-1]), abs(row[0])
-        results.append(_condition(
-            4 + offset,
-            f"|last| > |first| on reduced row {offset + 1}",
-            lhs=last, rhs=first, margin=last - first, scale=max(last, first)))
-    return results
-
-
-def _condition(index: int, description: str, lhs: float, rhs: float,
-               margin: float, scale: float) -> ConditionResult:
-    tolerance = MARGIN_TOL * scale
-    return ConditionResult(index=index, description=description,
-                           lhs=lhs, rhs=rhs,
-                           satisfied=margin > tolerance,
-                           margin=margin, tolerance=tolerance)
+        yield (abs(top[m]), top[0], top[0] - abs(top[m]),
+               MARGIN_TOL * max(abs(top[m]), top[0]))
+    for row in table.dense[1:]:
+        first, last = abs(row[0]), abs(row[-1])
+        yield last, first, last - first, MARGIN_TOL * max(last, first)
+    for first, _, _, last in table.quads:
+        first, last = abs(first), abs(last)
+        yield last, first, last - first, MARGIN_TOL * max(last, first)
 
 
 def classify_modulus(modulus: float) -> str:
@@ -293,22 +332,22 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
 
     A condition failing beyond its tolerance wins over ones sitting at
     equality: the polynomial is then unstable no matter how the marginal
-    ones resolve. With no clear failure, any condition inside its band
-    yields a marginal verdict. A singular table delegates to the
-    root-modulus oracle, and the verdict's ``reason`` says why.
+    ones resolve. With no clear failure, the first condition inside its
+    band yields a marginal verdict. The margins are the ones
+    :func:`jury_conditions` reports, read off the input row and the ends
+    of each reduced row without building a record. A singular table
+    delegates to the root-modulus oracle, and the verdict's ``reason``
+    says why.
     """
     try:
         table = jury_table(p)
     except SingularTableError as exc:
         return replace(oracle_verdict(p), reason=str(exc))
-    conditions = tuple(jury_conditions(table))
     status, witness = STABLE, None
-    for cond in conditions:
-        if cond.margin < -cond.tolerance:
-            status, witness = UNSTABLE, cond.index
+    for index, (_, _, margin, tolerance) in enumerate(_condition_terms(table), start=1):
+        if margin < -tolerance:
+            status, witness = UNSTABLE, index
             break
-        if status == STABLE and abs(cond.margin) <= cond.tolerance:
-            status, witness = MARGINAL, cond.index
-    return StabilityVerdict(status, witness, JURY,
-                            conditions=conditions, table=table)
-
+        if status == STABLE and abs(margin) <= tolerance:
+            status, witness = MARGINAL, index
+    return StabilityVerdict(status, witness, JURY, table=table)

@@ -170,11 +170,12 @@ def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
 
 
 def test_critical_r_is_the_closed_form_and_strictly_decreasing():
-    taus = list(range(41)) + [60, 100, 200]
-    found = [critical_r(tau).r_critical for tau in taus]
-    for tau, r_critical in zip(taus, found):
-        assert abs(r_critical - _candidate_threshold(tau)) <= 1e-9, tau
-    assert all(later < earlier for earlier, later in zip(found[:41], found[1:41]))
+    points = [critical_r(tau) for tau in range(201)]
+    for tau, point in enumerate(points):
+        assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9, tau
+        assert point.method == JURY, tau
+    found = [point.r_critical for point in points]
+    assert all(later < earlier for earlier, later in zip(found, found[1:]))
 
 
 # How the instability appears: just past f(tau) the capacity point loses

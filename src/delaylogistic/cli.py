@@ -133,13 +133,6 @@ def _verdict_payload(verdict: jury.StabilityVerdict) -> dict:
             "method": verdict.method}
 
 
-def _condition_payload(cond: jury.ConditionResult) -> dict:
-    return {"index": cond.index, "description": cond.description,
-            "lhs": cond.lhs, "rhs": cond.rhs,
-            "satisfied": cond.satisfied, "margin": cond.margin,
-            "tolerance": cond.tolerance}
-
-
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     """What the verdict rests on: the conditions read off its table, or the
     root moduli with their residual and, after a fallback, why the table
@@ -148,8 +141,7 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
-        return {"conditions": [_condition_payload(c)
-                               for c in jury.jury_conditions(verdict.table)]}
+        return {"conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"

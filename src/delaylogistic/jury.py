@@ -87,12 +87,13 @@ class SingularTableError(RuntimeError):
 class JuryTable:
     """Reduction rows, kept as their live entries.
 
-    ``dense`` holds the rows in full, from the input coefficient row down
-    to the first row whose interior is zeros of one sign (or to the last
-    row, if none is). Every later row is that shape too, and ``quads``
-    holds one ``(first, zero, penultimate, last)`` per such row: its
-    entries at positions 0, 1 (the zero that fills the interior), m-1
-    and m. :attr:`rows` expands them.
+    ``live[i]`` is row ``i``, ``live[0]`` the input coefficient row. A row
+    is kept in full up to the first row whose interior is zeros of one
+    sign. Every later row is that shape too and is kept as
+    ``(first, zero, penultimate, last)``: its entries at positions 0, 1
+    (the zero that fills the interior), m-1 and m. :attr:`rows` expands
+    every entry whose length differs from its row's width,
+    ``len(live[0]) - i``.
 
     ``shifts[i]`` is the exponent of the power of two that row ``i`` was
     multiplied by (the input row as given, a reduced row after its
@@ -100,20 +101,19 @@ class JuryTable:
     [2**-256, 2**256], which is the case for all ordinary inputs.
     """
 
-    dense: tuple[tuple[float, ...], ...]
-    quads: tuple[tuple[float, float, float, float], ...]
+    live: tuple[tuple[float, ...], ...]
     shifts: tuple[int, ...]
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
         """Every row in full, ``rows[0]`` the input row; O(degree**2)."""
-        rows = list(self.dense)
-        width = len(rows[-1])
-        for first, zero, penultimate, last in self.quads:
-            width -= 1
-            row = [zero] * width
-            row[0], row[-2], row[-1] = first, penultimate, last
-            rows.append(tuple(row))
+        rows = []
+        for i, row in enumerate(self.live):
+            width = len(self.live[0]) - i
+            if len(row) != width:
+                first, zero, penultimate, last = row
+                row = (first,) + (zero,) * (width - 3) + (penultimate, last)
+            rows.append(row)
         return tuple(rows)
 
 
@@ -123,7 +123,8 @@ class ConditionResult(NamedTuple):
     ``margin`` is positive exactly when the inequality holds strictly;
     ``satisfied`` requires ``margin > tolerance``, where ``tolerance`` is
     the MARGIN_TOL band scaled to this condition's operand magnitudes.
-    A named tuple, since :func:`jury_conditions` builds one per table row.
+    A named tuple, since :func:`jury_conditions` builds one per table row;
+    its ``_asdict()`` is the condition record of the CLI payloads.
     """
 
     index: int
@@ -186,44 +187,30 @@ def jury_table(p: Polynomial) -> JuryTable:
     if p.degree < 1:
         raise ValueError(f"reduction table needs degree >= 1, got {p.degree}")
     row, shift = _in_range(p.coeffs)
-    dense = [row]
+    live = [row]
     shifts = [shift]
     # |last| is held against the magnitude it was computed at: the input
     # row's largest coefficient, then last**2 + first**2 of the row before,
     # so a last entry that cancellation left at rounding noise counts as 0.
     scale = max(map(abs, row))
-    while len(row) > 3:
-        m = len(row) - 1
-        first, last = row[0], row[m]
+    for width in range(len(row), 3, -1):
+        first, last = row[0], row[-1]
         if abs(last) <= _SINGULAR_TOL * scale:
             raise _singular(p, shifts, last)
-        if _uniform_zero_interior(row):
-            break
-        row, shift = _in_range(tuple([last * row[k + 1] - row[m - 1 - k] * first
-                                      for k in range(m)]))
+        if len(row) < width or _uniform_zero_interior(row):
+            # the interior stays one signed zero, and a power of two leaves
+            # it as it is, so rescaling the four live entries rescales the row
+            zero, penultimate = row[1], row[-2]
+            row = (last * zero - penultimate * first, last * zero - zero * first,
+                   last * penultimate - zero * first, last * last - first * first)
+        else:
+            m = width - 1
+            row = tuple([last * row[k + 1] - row[m - 1 - k] * first for k in range(m)])
+        row, shift = _in_range(row)
         scale = math.ldexp(last * last + first * first, shift)
-        dense.append(row)
+        live.append(row)
         shifts.append(shift)
-    else:
-        return JuryTable(tuple(dense), (), tuple(shifts))
-
-    # the interior stays one signed zero, last * zero - zero * first, and a
-    # power of two leaves it as it is, so the peak is the live entries'
-    first, zero, penultimate, last = row[0], row[1], row[-2], row[-1]
-    quads = []
-    for width in range(len(row) - 1, 2, -1):
-        (new_first, penultimate, new_last), shift = _in_range(
-            (last * zero - penultimate * first,
-             last * penultimate - zero * first,
-             last * last - first * first))
-        zero = last * zero - zero * first
-        scale = math.ldexp(last * last + first * first, shift)
-        first, last = new_first, new_last
-        quads.append((first, zero, penultimate, last))
-        shifts.append(shift)
-        if width > 3 and abs(last) <= _SINGULAR_TOL * scale:
-            raise _singular(p, shifts, last)
-    return JuryTable(tuple(dense), tuple(quads), tuple(shifts))
+    return JuryTable(tuple(live), tuple(shifts))
 
 
 def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
@@ -291,7 +278,8 @@ def _condition_terms(table: JuryTable) -> Iterator[tuple[float, float, float, fl
     row's condition reads only its first and last entries, so the rows
     are never expanded.
     """
-    top = table.dense[0]
+    rows = iter(table.live)
+    top = next(rows)
     m = len(top) - 1
     # boundary evaluations carry rounding noise ~ eps * sum |a_i|
     boundary_tolerance = MARGIN_TOL * sum(abs(c) for c in top)
@@ -302,11 +290,8 @@ def _condition_terms(table: JuryTable) -> Iterator[tuple[float, float, float, fl
     if m >= 2:
         yield (abs(top[m]), top[0], top[0] - abs(top[m]),
                MARGIN_TOL * max(abs(top[m]), top[0]))
-    for row in table.dense[1:]:
+    for row in rows:
         first, last = abs(row[0]), abs(row[-1])
-        yield last, first, last - first, MARGIN_TOL * max(last, first)
-    for first, _, _, last in table.quads:
-        first, last = abs(first), abs(last)
         yield last, first, last - first, MARGIN_TOL * max(last, first)
 
 

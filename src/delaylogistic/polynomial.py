@@ -48,9 +48,10 @@ class RootSet:
     """All complex roots of a polynomial with an accuracy diagnostic.
 
     ``residual`` is max |P(root)| over the reported roots, evaluated on the
-    original coefficients. ``iterations`` is always 0, since the
-    eigenvalue solve is direct; it stays only while the benchmark's traced
-    runs (``bench/spans.py``) read it, and goes with the benchmark's next
+    original coefficients, or ``math.inf`` when a modulus overflows a
+    double. ``iterations`` is always 0, since the eigenvalue solve is
+    direct; it stays only while the benchmark's traced runs
+    (``bench/spans.py``) read it, and goes with the benchmark's next
     change.
     """
 
@@ -102,5 +103,14 @@ def roots(p: Polynomial) -> RootSet:
         raise ValueError(f"cannot root-find {p.coeffs!r}: dividing by the leading "
                          f"coefficient {p.coeffs[0]!r} overflows the monic form")
     found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
-    residual = max(abs(evaluate(p.coeffs, z)) for z in found)
+    residual = max(_modulus(evaluate(p.coeffs, z)) for z in found)
     return RootSet(found, residual=residual, iterations=0)
+
+
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or ``math.inf`` where ``abs`` raises ``OverflowError``
+    because the modulus of finite parts overflows a double."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf

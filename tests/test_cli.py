@@ -271,13 +271,19 @@ def test_stability_oracle_payload_shows_the_root_residual(capsys):
 
 
 def test_root_residual_that_overflows_is_null(capsys):
-    # a singular table whose roots span 1e295: |P(root)| overflows to nan,
-    # which strict JSON cannot hold
-    code, out, _ = _run(capsys, ["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"])
-    payload = json.loads(out, parse_constant=_reject_non_finite)
-    assert code == 0
-    assert payload["verdict"]["method"] == "oracle"
-    assert payload["root_residual"] is None
+    # singular tables whose |P(root)| overflows: to nan for roots that span
+    # 1e295, which strict JSON cannot hold, and, for the second input, to a
+    # modulus past the largest double, where abs() of the finite complex
+    # value raises OverflowError
+    for coeffs in ("-1e9,1e238,1e295,0,0,0",
+                   "-3.577118588599464e+199,1.0789394941118804e-200,0,"
+                   "1.267842439400661e-300,1.2167013899152557,0,0,0,0,"
+                   "-1.465630494362098e+300,8.530112605216762e+199,0"):
+        code, out, err = _run(capsys, ["jury", f"--coeffs={coeffs}"])
+        assert (code, err) == (0, ""), coeffs
+        payload = json.loads(out, parse_constant=_reject_non_finite)
+        assert payload["verdict"]["method"] == "oracle"
+        assert payload["root_residual"] is None
 
 
 def test_root_residual_flags_roots_the_oracle_lost():

@@ -342,7 +342,7 @@ def _table_bits(p: Polynomial):
 def test_table_is_bitwise_the_dense_reduction_on_the_delay_family():
     # both fixed points; from the first reduced row on the capacity point's
     # rows have an interior of zeros, -0.0 ones at a negative rate
-    for tau in sorted(set(range(61)) | set(range(60, 397, 7))):
+    for tau in sorted(set(range(61)) | set(range(60, 397, 7)) | {1000}):
         threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
         rates = ([fraction * threshold
                   for fraction in (0.01, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 3.0)]
@@ -352,6 +352,15 @@ def test_table_is_bitwise_the_dense_reduction_on_the_delay_family():
             expected = dense_tables([p.coeffs for p in polys])
             for r, p, want in zip(rates, polys, expected):
                 assert _table_bits(p) == want, (tau, point, r)
+
+
+def test_table_keeps_the_delay_familys_rows_as_their_live_entries():
+    # the input row and the first reduced row in full, then four entries
+    # per row: O(tau) space, where the rows in full take O(tau**2)
+    tau = 1000
+    threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+    table = delay_table(tau, 0.9 * threshold)
+    assert sum(map(len, table.live)) <= 2 * (tau + 2) + 4 * tau
 
 
 def _signed_zero_polynomials() -> list[Polynomial]:

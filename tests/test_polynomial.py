@@ -121,6 +121,15 @@ def test_residual_small_across_random_polynomials():
         assert roots(p).residual <= 1e-9
 
 
+def test_residual_whose_modulus_overflows_is_inf():
+    # |P(root)| has finite parts whose modulus overflows a double, where
+    # abs() of the complex value raises OverflowError
+    p = Polynomial((-3.577118588599464e+199, 1.0789394941118804e-200, 0.0,
+                    1.267842439400661e-300, 1.2167013899152557, 0.0, 0.0, 0.0, 0.0,
+                    -1.465630494362098e+300, 8.530112605216762e+199, 0.0))
+    assert roots(p).residual == math.inf
+
+
 def _assert_root_sets_match(ours, theirs, tol):
     remaining = list(theirs)
     for a in ours:

@@ -151,11 +151,31 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     return payload
 
 
-def _json_float(x: float) -> str:
-    """A float as `json.dumps` writes a finite one, and ``null`` for the
-    non-finite sample that ends a diverged run, so the document stays
-    strict JSON."""
-    return repr(x) if math.isfinite(x) else "null"
+# one sample of each trajectory format, as a %-template of its step and x:
+# %.17g round-trips every double, and %r of a float is what json.dumps writes
+_CSV_SAMPLE = "%d,%.17g"
+_JSON_SAMPLE = '    {\n      "step": %d,\n      "x": %r\n    }'
+# the non-finite sample that can end a diverged run, so the JSON stays strict
+_JSON_NULL_SAMPLE = _JSON_SAMPLE.replace("%r", "null")
+
+
+def _render_samples(trajectory: delay_map.Trajectory, sample: str, separator: str,
+                    null_sample: str | None = None) -> str:
+    """Every sample of the run by the template `sample`, between
+    `separator`s, in one C-level format over a flat (step, x, step, x, ...)
+    tuple. With `null_sample`, a non-finite last sample is rendered by it
+    from its step alone; only the last sample of a run can be non-finite.
+    """
+    values = trajectory.values
+    n = len(values)
+    flat: list = [0] * (2 * n)
+    flat[::2] = range(trajectory.first_step, trajectory.first_step + n)
+    flat[1::2] = values
+    last = sample
+    if null_sample is not None and not math.isfinite(values[-1]):
+        last = null_sample
+        del flat[-1]
+    return ((sample + separator) * (n - 1) + last) % tuple(flat)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
@@ -169,20 +189,17 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
     else:
         init = [args.x0] * (args.tau + 1)
     trajectory = delay_map.simulate(params, init, args.steps)
-    samples = enumerate(trajectory.values, trajectory.first_step)
     if args.format == "csv":
-        return ["step,x"] + [f"{n},{x:.17g}" for n, x in samples]
-    # json.dumps(indent=2) never uses the C encoder, so the samples, which
-    # are nearly all of the document, are laid out here exactly as it would
-    # lay them out, around a frame it renders with one placeholder sample
+        return ["step,x", _render_samples(trajectory, _CSV_SAMPLE, "\n")]
+    # the samples are nearly all of the document, so they are rendered in
+    # one format, laid out exactly as json.dumps(indent=2) lays them out,
+    # inside a frame that it renders around one placeholder sample
     head, tail = json.dumps({
         "r": params.r, "K": params.K, "tau": params.tau,
         "diverged": trajectory.diverged,
         "samples": [0],
     }, indent=2).split("\n    0\n")
-    body = ",\n".join(
-        f'    {{\n      "step": {n},\n      "x": {_json_float(x)}\n    }}'
-        for n, x in samples)
+    body = _render_samples(trajectory, _JSON_SAMPLE, ",\n", _JSON_NULL_SAMPLE)
     return [head, body, tail]
 
 

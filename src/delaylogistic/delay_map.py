@@ -5,10 +5,11 @@ first, advanced by
 
     x_{n+1} = x_n + r * x_n * (1 - x_{n-tau} / K)
 
-:func:`step` maps one history to the next; :func:`simulate` records
-``values[i]``, ``x`` at step ``first_step + i``, and reads ``x_{n-tau}``
-off that record, so a long run costs O(1) per step at any delay. Both
-apply the update through ``_advance``, so they agree bitwise.
+:func:`step` maps one history to the next through ``_advance``, the one
+definition of the update. :func:`simulate` records ``values[i]``, ``x`` at
+step ``first_step + i``, and reads ``x_{n-tau}`` off that record, so a long
+run costs O(1) per step at any delay; it writes the update inline, term for
+term as ``_advance`` does, so the two agree bitwise.
 
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
@@ -20,6 +21,7 @@ on its first call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -93,8 +95,9 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
 
     The record is the history: ``values[i]`` is ``x`` at step
     ``first_step + i``, so ``x_{n-tau}`` is always ``tau`` places behind
-    ``x_n``, each step costs O(1) whatever the delay, and gives bitwise the
-    same value as :func:`step`.
+    ``x_n`` and each step costs O(1) whatever the delay. The loop spells
+    out ``_advance``'s expression, so each value is bitwise what
+    :func:`step` gives.
 
     Stops early with ``diverged=True`` once a value is non-finite or
     exceeds ``DIVERGENCE_FACTOR * K`` in magnitude; the offending value is
@@ -107,14 +110,17 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
 
     values = list(state)
+    append = values.append
     r, K, tau = params.r, params.K, params.tau
-    limit = DIVERGENCE_FACTOR * K
+    # one comparison fails for a runaway, an infinite and a nan value alike;
+    # the clamp keeps it failing for inf when DIVERGENCE_FACTOR * K overflows
+    limit = min(DIVERGENCE_FACTOR * K, sys.float_info.max)
     diverged = False
     x = values[-1]
     for i in range(n_steps):  # x is x_i here, and values[i] is x_{i-tau}
-        x = _advance(x, values[i], r, K)
-        values.append(x)
-        if not math.isfinite(x) or abs(x) > limit:
+        x = x + r * x * (1.0 - values[i] / K)  # _advance(x, values[i], r, K)
+        append(x)
+        if not -limit <= x <= limit:
             diverged = True
             break
     return Trajectory(tuple(values), -tau, diverged)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaylogistic import cli, jury, polynomial
 from delaylogistic.delay_map import DelayParams, simulate, step
@@ -46,6 +50,17 @@ def _run(capsys, argv):
     (["simulate", "--r", "1e308", "--K", "1", "--tau", "2", "--history", "1,-3,1e300",
       "--steps", "5", "--format", "json"],
      "c735d3fde39379c35d27138bc337e5cbc7d53260a4cae195f065f9f9b3600edc"),
+    # DIVERGENCE_FACTOR * K overflows here; the run still stops at its -inf
+    (["simulate", "--r", "1e10", "--K", "1e299", "--tau", "0", "--x0", "1e298",
+      "--steps", "20", "--format", "json"],
+     "1a885b20257f2d382cc2008a6586cfa4dba29bcb58dcc4283567c308f92318b1"),
+    # the two trajectories of the benchmark's simulate workload, at x0 = 1400
+    (["simulate", "--r", "0.106", "--K", "2800", "--tau", "17", "--x0", "1400",
+      "--steps", "200000"],
+     "1389ad5470a77faa6919372c1f9c2674a1ae1aec3db4543d8577e54c030e8539"),
+    (["simulate", "--r", "0.005", "--K", "2800", "--tau", "200", "--x0", "1400",
+      "--steps", "50000", "--format", "json"],
+     "266ff19047b6479d25248b8592716d7dd5c8b29d4999ab1a2c8173e619320e3f"),
 ])
 def test_golden_output_bytes(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
@@ -149,6 +164,22 @@ def test_simulate_explicit_history(capsys):
     assert out.splitlines()[-1] == "1,1"
 
 
+def _plain_encoder_output(fmt, params, trajectory):
+    """The trajectory document written one sample at a time by the plain
+    encoders: an f-string per CSV row, json.dumps for the JSON document."""
+    samples = list(enumerate(trajectory.values, trajectory.first_step))
+    if fmt == "csv":
+        lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in samples]
+        return "\n".join(lines) + "\n"
+    # strict JSON: the non-finite sample that ends a diverged run is null
+    return json.dumps({
+        "r": params.r, "K": params.K, "tau": params.tau,
+        "diverged": trajectory.diverged,
+        "samples": [{"step": n, "x": x if math.isfinite(x) else None}
+                    for n, x in samples],
+    }, indent=2, allow_nan=False) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("r, K, tau, seeding, steps", [
     ("0.106", "2800", 17, ["--x0", "1400"], 300),
@@ -158,6 +189,11 @@ def test_simulate_explicit_history(capsys):
     ("1e308", "1", 0, ["--x0", "2"], 5),  # ends in -inf
     ("1e308", "1", 2, ["--history", "2,-3,1e300"], 5),  # ends in -inf
     ("1e308", "1", 2, ["--history", "1,-3,1e300"], 5),  # ends in nan
+    ("0.5", "1e-3", 1, ["--x0", "1e-5"], 40),  # from below 1e-4 into fixed notation
+    ("0.5", "1e18", 1, ["--x0", "1e16"], 40),  # from fixed notation to 1e17 and above
+    ("0.3", "2.5", 0, ["--x0", "1.1"], 0),  # a single sample
+    ("1e308", "1", 1, ["--history", "-1e300,1e300"], 5),  # ends in inf
+    ("3", "1", 1, ["--x0", "0.5"], 100),  # stops on a finite -2.6e16
 ])
 def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau,
                                                           seeding, steps):
@@ -169,19 +205,38 @@ def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau
     init = ([float(v) for v in seeding[1].split(",")] if seeding[0] == "--history"
             else [float(seeding[1])] * (tau + 1))
     trajectory = simulate(params, init, steps)
-    samples = list(enumerate(trajectory.values, -tau))
-    if fmt == "csv":
-        lines = ["step,x"] + [f"{n},{x:.17g}" for n, x in samples]
-        assert out == "\n".join(lines) + "\n"
-    else:
-        # strict JSON: the non-finite sample that ends a diverged run is null
-        assert out == json.dumps({
-            "r": params.r, "K": params.K, "tau": params.tau,
-            "diverged": trajectory.diverged,
-            "samples": [{"step": n, "x": x if math.isfinite(x) else None}
-                        for n, x in samples],
-        }, indent=2, allow_nan=False) + "\n"
+    assert out == _plain_encoder_output(fmt, params, trajectory)
+    if fmt == "json":
         json.loads(out, parse_constant=_reject_non_finite)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fmt=st.sampled_from(["csv", "json"]),
+       r=st.one_of(st.floats(-3.0, 3.0), _finite),
+       K=st.floats(min_value=5e-324, allow_infinity=False),
+       tau=st.integers(0, 30), steps=st.integers(0, 300), data=st.data())
+def test_simulate_output_matches_the_plain_encoders_on_drawn_runs(fmt, r, K, tau, steps,
+                                                                  data):
+    """The batch renderer against the one-sample-at-a-time reference, on
+    runs that settle, oscillate, run away or overflow."""
+    if data.draw(st.booleans(), label="explicit history"):
+        init = data.draw(st.lists(_finite, min_size=tau + 1, max_size=tau + 1))
+        seeding = "--history=" + ",".join(map(repr, init))
+    else:
+        x0 = data.draw(st.one_of(st.floats(0.0, min(2.0 * K, sys.float_info.max)), _finite),
+                       label="x0")
+        init = [x0] * (tau + 1)
+        seeding = f"--x0={x0!r}"
+    argv = ["simulate", f"--r={r!r}", f"--K={K!r}", f"--tau={tau}", seeding,
+            f"--steps={steps}", f"--format={fmt}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    params = DelayParams(r=r, K=K, tau=tau)
+    assert out.getvalue() == _plain_encoder_output(fmt, params, simulate(params, init, steps))
 
 
 def _reject_non_finite(name):

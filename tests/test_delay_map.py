@@ -127,6 +127,16 @@ def test_simulate_flags_divergence_and_stops():
     assert all(math.isfinite(x) for x in trajectory.values[:-1])
 
 
+def test_simulate_stops_on_inf_when_the_limit_overflows():
+    # DIVERGENCE_FACTOR * K is inf at this K, so only a limit clamped to the
+    # largest double makes the divergence test fail for an infinite value
+    trajectory = simulate(DelayParams(1e10, 1e299, 0), [1e298], 20)
+    assert trajectory.diverged
+    assert len(trajectory.values) == 3
+    assert trajectory.values[-1] == -math.inf
+    assert all(math.isfinite(x) for x in trajectory.values[:-1])
+
+
 def test_simulate_rejects_bad_inputs():
     params = DelayParams(0.5, 1.0, 1)
     with pytest.raises(ValueError):

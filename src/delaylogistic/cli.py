@@ -204,8 +204,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
 
 
 def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
-    p = delay_map.char_poly(delay_map.DelayParams(r=args.r, K=1.0, tau=args.tau),
-                            args.point)
+    p = delay_map.char_poly(args.tau, args.r, args.point)
     if args.method == jury.JURY:
         verdict = jury.jury_verdict(p)
     else:
@@ -237,11 +236,11 @@ def _cmd_boundary(args: argparse.Namespace) -> dict | list[str]:
 
 def _cmd_tables(args: argparse.Namespace) -> dict | list[str]:
     taus = range(_TABLES_TAU_MAX + 1)
-    trivial = [delay_map.trivial_stability_range(tau) for tau in taus]
+    lo, hi = delay_map.TRIVIAL_STABLE_RATES  # the same at every delay
     boundary = sweep.boundary_table(_TABLES_TAU_MAX)
     if args.format == "csv":
         lines = ["trivial fixed point: stable r range", "tau,r_min,r_max"]
-        lines += [f"{tau},{lo:.6f},{hi:.6f}" for tau, (lo, hi) in zip(taus, trivial)]
+        lines += [f"{tau},{lo:.6f},{hi:.6f}" for tau in taus]
         lines.append("")
         lines.append("nontrivial fixed point: stable for 0 < r < r_critical")
         lines.append("tau,r_critical")
@@ -249,7 +248,7 @@ def _cmd_tables(args: argparse.Namespace) -> dict | list[str]:
         return lines
     return {
         "trivial": [{"tau": tau, "r_min": round(lo, 6), "r_max": round(hi, 6)}
-                    for tau, (lo, hi) in zip(taus, trivial)],
+                    for tau in taus],
         "nontrivial": [{"tau": p.tau, "r_critical": round(p.r_critical, 6)}
                        for p in boundary.points],
     }
@@ -317,10 +316,8 @@ def run(argv: list[str]) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"delaylogistic: error: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, dict):
-        output = json.dumps(result, indent=2) + "\n"
-    else:
-        output = "\n".join(result) + "\n"
+    lines = [json.dumps(result, indent=2)] if isinstance(result, dict) else result
+    output = "\n".join([*lines, ""])  # one copy of a document that may run to MBs
     if args.out is None:
         sys.stdout.write(output)
         return 0

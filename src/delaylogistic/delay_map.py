@@ -13,9 +13,8 @@ term as ``_advance`` does, so the two agree bitwise.
 
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
-characteristic polynomials come out in closed form. Only :func:`jacobian`,
-the tests' reference for those polynomials, needs numpy, and it imports it
-on its first call.
+characteristic polynomials come out in closed form, in ``tau`` and ``r``
+alone: K scales the history but drops out of the linearization.
 """
 
 from __future__ import annotations
@@ -23,12 +22,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .polynomial import Polynomial
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
@@ -126,57 +122,27 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     return Trajectory(tuple(values), -tau, diverged)
 
 
-def _fixed_point_level(params: DelayParams, point: str) -> float:
-    if point == TRIVIAL:
-        return 0.0
-    if point == NONTRIVIAL:
-        return params.K
-    raise ValueError(f"point must be {TRIVIAL!r} or {NONTRIVIAL!r}, got {point!r}")
-
-
-def jacobian(params: DelayParams, point: str) -> np.ndarray:
-    """Linearization of :func:`step` at the selected fixed point.
-
-    Rows 0..tau-1 shift the history (a single 1 on the superdiagonal); the
-    last row carries the two partial derivatives of the update, in column 0
-    (oldest entry) and column tau (newest entry). For tau = 0 both land in
-    the single cell and add.
-    """
-    import numpy as np
-
-    level = _fixed_point_level(params, point)
-    n = params.tau + 1
-    jac = np.zeros((n, n))
-    for i in range(n - 1):
-        jac[i, i + 1] = 1.0
-    jac[n - 1, 0] += -params.r * level / params.K
-    jac[n - 1, n - 1] += 1.0 + params.r * (1.0 - level / params.K)
-    return jac
-
-
-def char_poly(params: DelayParams, point: str) -> Polynomial:
+def char_poly(tau: int, r: float, point: str) -> Polynomial:
     """Characteristic polynomial of the Jacobian, in closed form.
 
     Trivial point: ``lambda^tau * (lambda - (1 + r))``. Non-trivial point:
     ``lambda^(tau+1) - lambda^tau + r`` (which collapses to
     ``lambda - (1 - r)`` for tau = 0). Emitted analytically; tests compare
-    against a determinant expansion of the Jacobian.
+    against a determinant expansion of the Jacobian. Raises ``ValueError``
+    for a negative ``tau`` or an unknown ``point``.
     """
-    level = _fixed_point_level(params, point)
-    tau, r = params.tau, params.r
-    if level == 0.0:
+    if tau < 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    if point == TRIVIAL:
         return Polynomial((1.0, -(1.0 + r)) + (0.0,) * tau)
+    if point != NONTRIVIAL:
+        raise ValueError(f"point must be {TRIVIAL!r} or {NONTRIVIAL!r}, got {point!r}")
     if tau == 0:
         return Polynomial((1.0, r - 1.0))
     return Polynomial((1.0, -1.0) + (0.0,) * (tau - 1) + (r,))
 
 
-def trivial_stability_range(tau: int) -> tuple[float, float]:
-    """The open interval of ``r`` where the all-zero point is stable.
-
-    By :func:`char_poly` the point's only non-zero root is ``1 + r``, at
-    every delay, so the range is where ``|1 + r| < 1``: (-2, 0).
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    return (-2.0, 0.0)
+# The open interval of ``r`` where the all-zero point is stable. By
+# char_poly the point's only non-zero root is ``1 + r``, at every delay, so
+# the range is where ``|1 + r| < 1``: (-2, 0).
+TRIVIAL_STABLE_RATES = (-2.0, 0.0)

@@ -45,26 +45,20 @@ class SchemeParams:
             raise ValueError(f"scheme must be {FORWARD!r} or {RATIO!r}, got {self.scheme!r}")
 
 
-def forward_step(p: SchemeParams, x: float) -> float:
-    """Explicit update (rh+1)x - (rh/K)x^2.
+def scheme_step(p: SchemeParams, x: float) -> float:
+    """One step of the scheme that ``p.scheme`` names.
 
-    This is the delay map's update at zero delay with rate rh, so h = 1
-    reproduces the zero-delay step bitwise.
+    Forward: the explicit update (rh+1)x - (rh/K)x^2. This is the delay
+    map's update at zero delay with rate rh, so h = 1 reproduces the
+    zero-delay step bitwise.
+
+    Ratio: (1+rh)x / (1 + (rh/K)x), factored as x * (1+rh)/(1 + rh*(x/K))
+    so that both fixed points are exact in floating point: x = K makes the
+    quotient exactly 1.
     """
-    if p.scheme != FORWARD:
-        raise ValueError(f"forward_step needs scheme={FORWARD!r}, got {p.scheme!r}")
-    return _advance(x, x, p.r * p.h, p.K)
-
-
-def ratio_step(p: SchemeParams, x: float) -> float:
-    """Ratio update (1+rh)x / (1 + (rh/K)x).
-
-    Factored as x * (1+rh)/(1 + rh*(x/K)) so that both fixed points are
-    exact in floating point: x = K makes the quotient exactly 1.
-    """
-    if p.scheme != RATIO:
-        raise ValueError(f"ratio_step needs scheme={RATIO!r}, got {p.scheme!r}")
     rh = p.r * p.h
+    if p.scheme == FORWARD:
+        return _advance(x, x, rh, p.K)
     denominator = 1.0 + rh * (x / p.K)
     if abs(denominator) <= _TOL:
         raise PoleError(f"ratio map pole: denominator {denominator:.3e} at x={x!r}")

@@ -39,11 +39,18 @@ so its verdict costs O(degree).
 An independent verdict based on the root-modulus oracle is provided for
 cross-checking and as a fallback when the table is genuinely singular
 (a zero pivot, such as the constant term of the all-zero fixed point's
-characteristic polynomial). Both verdicts, and any other test that
-compares a modulus with 1, apply the one unit-circle rule of
-:func:`classify_modulus`. Each verdict carries the evidence it rests on:
-the table, from which :func:`jury_conditions` reads the conditions, or
-the root set and, after a fallback, the reason the table could not decide.
+characteristic polynomial). The oracle verdict, and any other test that
+compares a modulus with 1, applies the unit-circle rule of
+:func:`classify_modulus`. The table does not: it grants each condition
+its own MARGIN_TOL band, scaled to that condition's operands, and that
+band is not the oracle's. Near a threshold the two verdicts can differ,
+and deep in the table rounding picks a side: ``stability --tau 1000 --r
+0.0015700111598856298 --point nontrivial`` reads ``stable``, where
+``--method oracle`` reads ``marginal``. One band for both verdicts is
+item 1 of the ROADMAP, still open. Each verdict carries the evidence it
+rests on: the table, from which :func:`jury_conditions` reads the
+conditions, or the root set and, after a fallback, the reason the table
+could not decide.
 """
 
 from __future__ import annotations

@@ -103,7 +103,9 @@ def roots(p: Polynomial) -> RootSet:
         raise ValueError(f"cannot root-find {p.coeffs!r}: dividing by the leading "
                          f"coefficient {p.coeffs[0]!r} overflows the monic form")
     found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
-    residual = max(_modulus(evaluate(p.coeffs, z)) for z in found)
+    # once per distinct root: numpy.roots repeats a k-fold zero root k
+    # times, and the trivial point's k = tau would cost O(tau**2)
+    residual = max(_modulus(evaluate(p.coeffs, z)) for z in dict.fromkeys(found))
     return RootSet(found, residual=residual, iterations=0)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delay_map import NONTRIVIAL, DelayParams, char_poly
+from .delay_map import NONTRIVIAL, char_poly
 from .jury import STABLE, StabilityVerdict, jury_verdict
 
 DEFAULT_TOL = 1e-10
@@ -51,10 +51,10 @@ class BoundaryTable:
 def is_stable_nontrivial(tau: int, r: float) -> StabilityVerdict:
     """The coefficient test's verdict on the capacity point at ``tau``, ``r``.
 
-    The characteristic polynomial does not involve K. A singular table
-    falls back to the root oracle, and the verdict's ``method`` says so.
+    A singular table falls back to the root oracle, and the verdict's
+    ``method`` says so.
     """
-    return jury_verdict(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
+    return jury_verdict(char_poly(tau, r, NONTRIVIAL))
 
 
 def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:

@@ -24,12 +24,12 @@ import struct
 
 import numpy as np
 
-from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly
+from delaylogistic.delay_map import NONTRIVIAL, char_poly
 from delaylogistic.jury import JuryTable, jury_table
 
 
 def delay_table(tau: int, r: float) -> JuryTable:
-    return jury_table(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
+    return jury_table(char_poly(tau, r, NONTRIVIAL))
 
 
 def induction_mismatches(table: JuryTable) -> list[str]:

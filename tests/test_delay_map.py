@@ -11,15 +11,15 @@ from delaylogistic.delay_map import (
     DIVERGENCE_FACTOR,
     NONTRIVIAL,
     TRIVIAL,
+    TRIVIAL_STABLE_RATES,
     DelayParams,
     char_poly,
-    jacobian,
     simulate,
     step,
-    trivial_stability_range,
 )
 from delaylogistic.jury import oracle_verdict
 from delaylogistic.polynomial import Polynomial, roots
+from linearization import jacobian
 
 
 def _fixed_points(params):
@@ -200,25 +200,24 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_char_poly_closed_forms():
-    assert char_poly(DelayParams(0.5, 1.0, 1), NONTRIVIAL).coeffs == (1.0, -1.0, 0.5)
-    assert char_poly(DelayParams(-1.5, 1.0, 2), TRIVIAL).coeffs == (1.0, 0.5, 0.0, 0.0)
-    assert char_poly(DelayParams(0.25, 1.0, 0), NONTRIVIAL).coeffs == (1.0, -0.75)
-    assert char_poly(DelayParams(0.25, 1.0, 0), TRIVIAL).coeffs == (1.0, -1.25)
+    assert char_poly(1, 0.5, NONTRIVIAL).coeffs == (1.0, -1.0, 0.5)
+    assert char_poly(2, -1.5, TRIVIAL).coeffs == (1.0, 0.5, 0.0, 0.0)
+    assert char_poly(0, 0.25, NONTRIVIAL).coeffs == (1.0, -0.75)
+    assert char_poly(0, 0.25, TRIVIAL).coeffs == (1.0, -1.25)
 
 
 def test_char_poly_length_is_tau_plus_two():
     for tau in range(0, 9):
-        params = DelayParams(0.3, 1.0, tau)
-        assert len(char_poly(params, TRIVIAL).coeffs) == tau + 2
-        assert len(char_poly(params, NONTRIVIAL).coeffs) == tau + 2
+        assert len(char_poly(tau, 0.3, TRIVIAL).coeffs) == tau + 2
+        assert len(char_poly(tau, 0.3, NONTRIVIAL).coeffs) == tau + 2
 
 
 def test_trivial_char_poly_radius_is_abs_one_plus_r():
     rng = random.Random(77)
     for _ in range(30):
-        params = DelayParams(r=rng.uniform(-3.0, 3.0), K=1.0, tau=rng.randint(0, 8))
-        rho = oracle_verdict(char_poly(params, TRIVIAL)).witness
-        assert rho == pytest.approx(abs(1.0 + params.r), abs=1e-9)
+        r, tau = rng.uniform(-3.0, 3.0), rng.randint(0, 8)
+        rho = oracle_verdict(char_poly(tau, r, TRIVIAL)).witness
+        assert rho == pytest.approx(abs(1.0 + r), abs=1e-9)
 
 
 def _poly_add(a, b):
@@ -263,7 +262,7 @@ def test_char_poly_matches_determinant_expansion():
         entries = [[[-jac[i][j], 1.0] if i == j else [-jac[i][j]]
                     for j in range(n)] for i in range(n)]
         expanded = list(reversed(_det_poly(entries)))  # to descending powers
-        ours = roots(char_poly(params, NONTRIVIAL)).roots
+        ours = roots(char_poly(params.tau, params.r, NONTRIVIAL)).roots
         theirs = roots(Polynomial(expanded)).roots
         _assert_same_roots(ours, theirs, 1e-8)
 
@@ -285,20 +284,24 @@ def test_char_poly_matches_jacobian_eigenvalues(point):
         params = DelayParams(r=rng.uniform(-1.8, 1.8), K=rng.uniform(0.5, 4000.0),
                              tau=tau)
         eigenvalues = np.linalg.eigvals(jacobian(params, point))
-        _assert_same_roots(roots(char_poly(params, point)).roots, eigenvalues, 1e-10)
+        _assert_same_roots(roots(char_poly(tau, params.r, point)).roots, eigenvalues,
+                           1e-10)
 
 
 @pytest.mark.parametrize("tau", [0, 3, 25])
 def test_trivial_stability_range_is_minus_two_to_zero(tau):
-    lo, hi = trivial_stability_range(tau)
+    lo, hi = TRIVIAL_STABLE_RATES
     assert (lo, hi) == (-2.0, 0.0)
     # the closed form rests on char_poly: the only non-zero root is 1 + r
     for r, inside in ((lo - 1e-9, False), (lo + 1e-9, True), (-1.0, True),
                       (hi - 1e-9, True), (hi + 1e-9, False)):
-        p = char_poly(DelayParams(r=r, K=1.0, tau=tau), TRIVIAL)
+        p = char_poly(tau, r, TRIVIAL)
         assert (oracle_verdict(p).witness < 1.0) == inside, (tau, r)
 
 
-def test_trivial_stability_range_rejects_negative_delay():
-    with pytest.raises(ValueError):
-        trivial_stability_range(-2)
+def test_char_poly_rejects_negative_delay_and_unknown_point():
+    for point in (TRIVIAL, NONTRIVIAL):
+        with pytest.raises(ValueError, match="^tau must be >= 0, got -2$"):
+            char_poly(-2, 0.5, point)
+    with pytest.raises(ValueError, match="^point must be"):
+        char_poly(2, 0.5, "saddle")

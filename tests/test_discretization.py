@@ -11,9 +11,8 @@ from delaylogistic.discretization import (
     RATIO,
     PoleError,
     SchemeParams,
-    forward_step,
-    ratio_step,
     scheme_stability,
+    scheme_step,
 )
 from delaylogistic.jury import MARGINAL, STABLE, UNSTABLE
 
@@ -46,23 +45,26 @@ def test_params_validation():
 
 def test_forward_step_values():
     p = _forward(1.0, 1.0, 1.0)
-    assert forward_step(p, 0.0) == 0.0
-    assert forward_step(p, 1.0) == 1.0
-    assert forward_step(p, 0.5) == 0.75
+    assert scheme_step(p, 0.0) == 0.0
+    assert scheme_step(p, 1.0) == 1.0
+    assert scheme_step(p, 0.5) == 0.75
 
 
 def test_ratio_step_values():
     p = _ratio(1.0, 1.0, 1.0)
-    assert ratio_step(p, 0.0) == 0.0
-    assert ratio_step(p, 1.0) == 1.0
-    assert ratio_step(p, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert scheme_step(p, 0.0) == 0.0
+    assert scheme_step(p, 1.0) == 1.0
+    assert scheme_step(p, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-def test_steps_reject_mismatched_scheme():
-    with pytest.raises(ValueError):
-        forward_step(_ratio(1.0, 1.0, 1.0), 0.5)
-    with pytest.raises(ValueError):
-        ratio_step(_forward(1.0, 1.0, 1.0), 0.5)
+def test_scheme_step_takes_the_update_that_the_scheme_names():
+    # one rate, capacity, step and state: the two updates part at once
+    forward, ratio = _forward(2.0, 1.0, 1.0), _ratio(2.0, 1.0, 1.0)
+    assert scheme_step(forward, 0.5) == 1.0
+    assert scheme_step(ratio, 0.5) == 0.75
+    with pytest.raises(PoleError):
+        scheme_step(ratio, -0.5)
+    assert scheme_step(forward, -0.5) == -2.0  # the explicit update has no pole
 
 
 def test_both_schemes_fix_zero_and_capacity():
@@ -71,16 +73,15 @@ def test_both_schemes_fix_zero_and_capacity():
         r = rng.uniform(0.01, 50.0)
         K = rng.uniform(0.1, 5000.0)
         h = rng.uniform(0.01, 3.0)
-        assert forward_step(_forward(r, K, h), 0.0) == 0.0
-        assert forward_step(_forward(r, K, h), K) == K
-        assert ratio_step(_ratio(r, K, h), 0.0) == 0.0
-        assert ratio_step(_ratio(r, K, h), K) == K
+        for p in (_forward(r, K, h), _ratio(r, K, h)):
+            assert scheme_step(p, 0.0) == 0.0
+            assert scheme_step(p, K) == K
 
 
 def test_ratio_step_pole_raises():
     p = _ratio(2.0, 1.0, 1.0)
     with pytest.raises(PoleError):
-        ratio_step(p, -0.5)  # denominator 1 + 2x = 0
+        scheme_step(p, -0.5)  # denominator 1 + 2x = 0
 
 
 def test_forward_matches_zero_delay_map_bitwise_at_unit_step():
@@ -92,7 +93,7 @@ def test_forward_matches_zero_delay_map_bitwise_at_unit_step():
               for K in (1e-6, 1.0, 2800.0, 1e9)
               for m in (-1e3, -1.0, -0.0, 1e-8, 0.5, 1.0, 1.5, 1e6)]
     for r, K, x in cases:
-        scheme_value = forward_step(_forward(r, K, 1.0), x)
+        scheme_value = scheme_step(_forward(r, K, 1.0), x)
         map_value = step(DelayParams(r=r, K=K, tau=0), (x,))[0]
         assert scheme_value == map_value  # bitwise
 

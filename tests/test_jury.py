@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, DelayParams, char_poly
+from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, char_poly
 from delaylogistic.jury import (
     MARGINAL,
     STABLE,
@@ -348,10 +348,36 @@ def test_table_is_bitwise_the_dense_reduction_on_the_delay_family():
                   for fraction in (0.01, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 3.0)]
                  + [-0.3, -1e-3, 0.0, 1.0, 2.0, 1e-300, 1e300])
         for point in (NONTRIVIAL, TRIVIAL):
-            polys = [char_poly(DelayParams(r=r, K=1.0, tau=tau), point) for r in rates]
+            polys = [char_poly(tau, r, point) for r in rates]
             expected = dense_tables([p.coeffs for p in polys])
             for r, p, want in zip(rates, polys, expected):
                 assert _table_bits(p) == want, (tau, point, r)
+
+
+def test_sparse_family_with_other_signs_is_bitwise_dense_and_agrees_with_oracle():
+    # lambda^(k+1) - a lambda^k + b with a != 1 and b of either sign
+    # (Kuruklis 1994): the delay family is a = 1, b = r, so only these
+    # give the four-entry rows their other sign patterns
+    pairs = [(a, b) for a in (-1.5, -0.6, 0.3, 0.9, 1.4)
+             for b in (-1.2, -0.7, -0.2, -1e-3, 1e-3, 0.2, 0.7, 1.2)]
+    seen = {STABLE: 0, UNSTABLE: 0, "-0.0 interior": 0, "0.0 interior": 0}
+    for k in list(range(1, 41)) + [100, 200]:
+        polys = [Polynomial((1.0, -a) + (0.0,) * (k - 1) + (b,)) for a, b in pairs]
+        expected = dense_tables([p.coeffs for p in polys])
+        for p, want in zip(polys, expected):
+            assert _table_bits(p) == want, p.coeffs
+            if not isinstance(want, str):
+                for row in jury_table(p).rows[1:]:
+                    if len(row) > 3:
+                        seen[f"{math.copysign(0.0, row[1])} interior"] += 1
+            rho = oracle_verdict(p).witness
+            if abs(rho - 1.0) <= 1e-6:
+                continue
+            verdict = jury_verdict(p)
+            if verdict.method == "jury":
+                assert verdict.status == (STABLE if rho < 1.0 else UNSTABLE), p.coeffs
+                seen[verdict.status] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_table_keeps_the_delay_familys_rows_as_their_live_entries():
@@ -442,8 +468,7 @@ def test_verdict_follows_the_records_on_the_delay_family():
     for tau in range(401):
         threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
         for fraction in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5):
-            polys.append(char_poly(DelayParams(r=fraction * threshold, K=1.0, tau=tau),
-                                   NONTRIVIAL))
+            polys.append(char_poly(tau, fraction * threshold, NONTRIVIAL))
     seen = _statuses_following_the_records(polys)
     assert min(seen[s] for s in (STABLE, UNSTABLE, MARGINAL)) >= 100, seen
 
@@ -485,8 +510,8 @@ def test_verdict_follows_the_records_across_input_scales():
              (1.0, 1.0, 0.0, 0.0, 1.25, 0.5)]
     for tau in (3, 17, 40, 200):
         threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
-        bases += [char_poly(DelayParams(r=fraction * threshold, K=1.0, tau=tau),
-                            NONTRIVIAL).coeffs for fraction in (0.5, 1.0, 1.5)]
+        bases += [char_poly(tau, fraction * threshold, NONTRIVIAL).coeffs
+                  for fraction in (0.5, 1.0, 1.5)]
     bases += [[rng.uniform(0.5, 2.0)] + [rng.uniform(-2.0, 2.0)
                                          for _ in range(rng.randint(2, 8))]
               for _ in range(40)]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaylogistic import polynomial
+from delaylogistic.delay_map import TRIVIAL, char_poly
 from delaylogistic.polynomial import (
     DegeneratePolynomialError,
     Polynomial,
@@ -128,6 +130,23 @@ def test_residual_whose_modulus_overflows_is_inf():
                     1.267842439400661e-300, 1.2167013899152557, 0.0, 0.0, 0.0, 0.0,
                     -1.465630494362098e+300, 8.530112605216762e+199, 0.0))
     assert roots(p).residual == math.inf
+
+
+def test_residual_evaluates_each_distinct_root_once(monkeypatch):
+    # the trivial point's polynomial at delay 5000 has 5000 exact zero
+    # roots and one at 1 + r: two Horner passes, not 5001 of degree 5001
+    p = char_poly(5000, 0.1, TRIVIAL)
+    points = []
+
+    def counted(coeffs, z):
+        points.append(z)
+        return evaluate(coeffs, z)
+
+    monkeypatch.setattr(polynomial, "evaluate", counted)
+    result = roots(p)
+    assert len(result.roots) == 5001
+    assert sorted(points, key=abs) == [0j, 1.1 + 0j]
+    assert result.residual == max(abs(evaluate(p.coeffs, z)) for z in points)
 
 
 def _assert_root_sets_match(ours, theirs, tol):

@@ -29,7 +29,7 @@ def _candidate_threshold(tau):
 
 
 def _oracle_nontrivial(tau, r):
-    return oracle_verdict(char_poly(DelayParams(r=r, K=1.0, tau=tau), NONTRIVIAL))
+    return oracle_verdict(char_poly(tau, r, NONTRIVIAL))
 
 
 REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}

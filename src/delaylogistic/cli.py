@@ -134,14 +134,15 @@ def _verdict_payload(verdict: jury.StabilityVerdict) -> dict:
 
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
-    """What the verdict rests on: the conditions read off its table, or the
-    root moduli with their residual and, after a fallback, why the table
-    could not decide.
+    """What the verdict rests on: the radius of its table's run and the
+    conditions read off that table, or the root moduli with their
+    residual and, after a fallback, why the table could not decide.
 
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
-        return {"conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
+        return {"radius": verdict.table.radius,
+                "conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"

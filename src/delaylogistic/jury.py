@@ -9,48 +9,26 @@ alone). Stability of the root set (all moduli < 1) is equivalent to
 two boundary evaluations at +1 and -1 and, from degree 2, a magnitude test
 on the outer coefficients; then one magnitude test per reduced row.
 
-The table is scale-free. Each product squares the row's magnitude, so
-left alone the rows of a deep table underflow (or overflow) within a few
-dozen reductions. A row, the input row included, whose largest magnitude
-leaves [2**-256, 2**256] is therefore multiplied by the power of two that
-brings that magnitude into [1, 2). The scaling changes only exponents, and
-the recurrence and every |last| > |first| condition are homogeneous in the
-row, so each verdict is the one the same table would give with unlimited
-exponent range (unless a product falls below the normal doubles, which
-takes factors hundreds of binary orders below their row's largest
-magnitude). For the same reason a row counts as singular when its last
-entry is ~0 relative to the magnitude it was computed at, not in absolute
-terms: the input row's largest coefficient, and for a reduced row the two
-products that formed its last entry, so a pivot that cancellation left at
-rounding noise is caught. Since the input row is in range too, the
-boundary conditions cannot overflow either.
+The table is scale-free: the recurrence and every condition are
+homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
+power of two. Once a row's interior is zeros of one sign, every later row
+is too and is kept as its four distinct entries, bit for bit what the
+full reduction holds, so the delay family's table costs O(degree).
 
-A row whose interior (every entry but the first and the last two) is
-zeros of one sign hands that shape on: each interior entry of the next
-row is ``last * z - z * first`` for the zero ``z``, again one signed zero.
-From such a row on the table computes and keeps only the four distinct
-entries of each row, O(1) instead of O(degree); written out with their
-zeros, they are bit for bit what the full reduction would hold. The
-verdict reads each reduced row's first and last entries and builds no
-condition record, so it too costs O(1) per such row. The delay family's
-characteristic polynomial has such rows from its first reduced row on,
-so its verdict costs O(degree).
+One unit-circle rule decides every verdict: a root modulus within
+MARGIN_TOL of 1 is marginal. The root-modulus oracle applies it through
+:func:`classify_modulus`; the table through radii, since the spectral
+radius of ``p`` is below ``s`` exactly when ``p(s z)`` has every root
+inside the unit circle. The verdict runs the table of
+``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
+otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
+condition fails, else ``marginal``. A condition whose margin lies within
+its rounding estimate is neither; if no condition fails, the conditions
+are read again in decimal arithmetic, which leaves undecided only the
+boundary evaluation of a root of high multiplicity at 1 or -1.
 
-An independent verdict based on the root-modulus oracle is provided for
-cross-checking and as a fallback when the table is genuinely singular
-(a zero pivot, such as the constant term of the all-zero fixed point's
-characteristic polynomial). The oracle verdict, and any other test that
-compares a modulus with 1, applies the unit-circle rule of
-:func:`classify_modulus`. The table does not: it grants each condition
-its own MARGIN_TOL band, scaled to that condition's operands, and that
-band is not the oracle's. Near a threshold the two verdicts can differ,
-and deep in the table rounding picks a side: ``stability --tau 1000 --r
-0.0015700111598856298 --point nontrivial`` reads ``stable``, where
-``--method oracle`` reads ``marginal``. One band for both verdicts is
-item 1 of the ROADMAP, still open. Each verdict carries the evidence it
-rests on: the table, from which :func:`jury_conditions` reads the
-conditions, or the root set and, after a fallback, the reason the table
-could not decide.
+The oracle also stands in where a table is singular (a zero pivot, such
+as the constant term of the all-zero fixed point's polynomial).
 """
 
 from __future__ import annotations
@@ -69,12 +47,15 @@ MARGINAL = "marginal"
 JURY = "jury"
 ORACLE = "oracle"
 
-# Strict inequalities are granted only beyond this slack, relative to the
-# magnitudes being compared; anything inside the band counts as marginal.
-# The scaling matters: the reduction squares the outer entries row after
-# row, and the table rescales rows by powers of two to keep them in range,
-# so only a band relative to the operands reads the same at every depth.
+# A root modulus within MARGIN_TOL of 1 is marginal: classify_modulus
+# reads that off a modulus, the table off its runs at the two radii.
 MARGIN_TOL = 1e-12
+INNER_RADIUS = 1.0 - MARGIN_TOL
+OUTER_RADIUS = 1.0 + MARGIN_TOL
+# a double's unit roundoff, and the digits of the arithmetic that reads
+# the conditions a double table leaves within its rounding estimate
+_UNIT_ROUNDOFF = 2.0 ** -53
+_PRECISE_DIGITS = 60
 
 # A row is singular when |last| <= _SINGULAR_TOL times the magnitude that
 # last entry was computed at (see jury_table).
@@ -92,24 +73,20 @@ class SingularTableError(RuntimeError):
 
 @dataclass(frozen=True)
 class JuryTable:
-    """Reduction rows, kept as their live entries.
+    """Reduction rows of ``p(radius * z)``, kept as their live entries.
 
-    ``live[i]`` is row ``i``, ``live[0]`` the input coefficient row. A row
-    is kept in full up to the first row whose interior is zeros of one
-    sign. Every later row is that shape too and is kept as
-    ``(first, zero, penultimate, last)``: its entries at positions 0, 1
-    (the zero that fills the interior), m-1 and m. :attr:`rows` expands
-    every entry whose length differs from its row's width,
-    ``len(live[0]) - i``.
-
+    ``live[i]`` is row ``i``, ``live[0]`` the input row: ``coeffs``, the
+    coefficients of ``p`` brought into range, scaled by the radius. A row
+    whose interior is zeros of one sign is kept as ``(first, zero,
+    penultimate, last)``; :attr:`rows` writes every row out in full.
     ``shifts[i]`` is the exponent of the power of two that row ``i`` was
-    multiplied by (the input row as given, a reduced row after its
-    reduction): 0 for every row whose largest magnitude lay within
-    [2**-256, 2**256], which is the case for all ordinary inputs.
+    multiplied by, 0 for every row that stayed within [2**-256, 2**256].
     """
 
     live: tuple[tuple[float, ...], ...]
     shifts: tuple[int, ...]
+    radius: float
+    coeffs: tuple[float, ...]
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -125,39 +102,34 @@ class JuryTable:
 
 
 class ConditionResult(NamedTuple):
-    """One strict inequality, 1-indexed, with its signed slack.
+    """One strict inequality, 1-indexed, with its signed slack in doubles.
 
-    ``margin`` is positive exactly when the inequality holds strictly;
-    ``satisfied`` requires ``margin > tolerance``, where ``tolerance`` is
-    the MARGIN_TOL band scaled to this condition's operand magnitudes.
-    A named tuple, since :func:`jury_conditions` builds one per table row;
-    its ``_asdict()`` is the condition record of the CLI payloads.
+    ``satisfied`` is True if it holds, False if it fails: read in decimal
+    arithmetic where no condition fails but a margin is within its rounding
+    estimate, and None only for a boundary evaluation within Horner's bound
+    even then. Its ``_asdict()`` is the condition record of the payloads.
     """
 
     index: int
     description: str
     lhs: float
     rhs: float
-    satisfied: bool
+    satisfied: bool | None
     margin: float
-    tolerance: float
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of a stability test, with the evidence it rests on.
 
-    ``status`` is one of stable / unstable / marginal. For an unstable
-    coefficient-test verdict ``witness`` is the first failed condition
-    index; for oracle verdicts it is the spectral radius. ``method`` names
+    ``status`` is one of stable / unstable / marginal; ``method`` names
     the test: JURY ("jury"), ORACLE ("oracle") or "derivative" (a one-step
-    scheme of :mod:`discretization`, whose witness is the derivative).
-
-    The evidence fields do not take part in equality. A coefficient-test
-    verdict carries its ``table``, from which :func:`jury_conditions`
-    reads the conditions; an oracle verdict carries its ``root_set``, and
-    ``reason`` says why the table could not decide when the oracle stood
-    in for it.
+    scheme of :mod:`discretization`, whose witness is the derivative). A
+    JURY ``witness`` indexes a condition of its ``table``: the first that
+    fails at the outer radius (unstable) or does not hold at the inner one
+    (marginal). An ORACLE witness is the spectral radius, with the
+    ``root_set`` and, where it stood in for a singular table, the
+    ``reason``. The evidence fields do not take part in equality.
     """
 
     status: str
@@ -168,37 +140,27 @@ class StabilityVerdict:
     reason: str | None = field(default=None, compare=False)
 
 
-def jury_table(p: Polynomial) -> JuryTable:
-    """Reduce ``p`` down to the three-entry row.
+def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
+    """Reduce ``p(radius * z)`` down to the three-entry row.
 
-    At degrees 1 and 2 the table is the input row alone. For a row
-    ``(a_0, ..., a_m)`` the successor entries are
-    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``. A row (the
-    input row included) whose largest magnitude leaves [2**-256, 2**256]
-    is multiplied by the power of two that brings that magnitude into
-    [1, 2), recorded in ``shifts``. Raises :class:`SingularTableError` if a
-    row that still needs reduction has a last entry within 1e-12 of zero
-    relative to the input's largest coefficient (input row) or to
-    ``a_m**2 + a_0**2`` of the row it was reduced from (reduced rows), and
-    ``ValueError`` for degree 0.
-
-    Once a row's interior ``a_1 .. a_(m-2)`` is zeros of one sign ``z``,
-    every later row has that shape, and a row costs O(1) products: the
-    first entry ``a_m * z - a_(m-1) * a_0``, the interior
-    ``a_m * z - z * a_0``, then ``a_m * a_(m-1) - z * a_0`` and
-    ``a_m * a_m - a_0 * a_0``, the very products the full formula forms
-    there. Those four entries are all the table keeps of such a row, so
-    from there on it costs O(1) time and space per row.
+    The input row is ``p``'s coefficients brought into range, then
+    coefficient ``k`` times ``radius**(m - k)``, which leaves a signed zero
+    as it is. For a row ``(a_0, ..., a_m)`` the successor entries are
+    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``, four products
+    once the interior is one signed zero. Raises :class:`SingularTableError`
+    if a row that still needs reduction has a last entry within 1e-12 of
+    zero relative to the input's largest coefficient (input row) or to
+    ``a_m**2 + a_0**2`` of the row it was reduced from, and ``ValueError``
+    for degree 0.
     """
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError(f"reduction table needs degree >= 1, got {p.degree}")
-    row, shift = _in_range(p.coeffs)
-    live = [row]
-    shifts = [shift]
-    # |last| is held against the magnitude it was computed at: the input
-    # row's largest coefficient, then last**2 + first**2 of the row before,
-    # so a last entry that cancellation left at rounding noise counts as 0.
+    coeffs, shift = _in_range(p.coeffs)
+    m = len(coeffs) - 1
+    row = tuple([c * radius ** (m - k) for k, c in enumerate(coeffs)])
+    live, shifts = [row], [shift]
+    # a last entry that cancellation left at rounding noise counts as 0
     scale = max(map(abs, row))
     for width in range(len(row), 3, -1):
         first, last = row[0], row[-1]
@@ -217,7 +179,7 @@ def jury_table(p: Polynomial) -> JuryTable:
         scale = math.ldexp(last * last + first * first, shift)
         live.append(row)
         shifts.append(shift)
-    return JuryTable(tuple(live), tuple(shifts))
+    return JuryTable(tuple(live), tuple(shifts), radius, coeffs)
 
 
 def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
@@ -243,11 +205,8 @@ def _uniform_zero_interior(row: tuple[float, ...]) -> bool:
 
 
 def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
-    """Return ``row`` times ``2**shift`` and ``shift``.
-
-    ``shift`` is 0 while the largest magnitude lies in [2**-256, 2**256],
-    else the exponent that brings it into [1, 2).
-    """
+    """``row`` times ``2**shift``, and ``shift``: 0 while the largest
+    magnitude lies in [2**-256, 2**256], else what brings it into [1, 2)."""
     peak = max(map(abs, row))
     if peak == 0.0 or _RESCALE_LOW <= peak <= _RESCALE_HIGH:
         return row, 0
@@ -256,17 +215,13 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
 
 
 def jury_conditions(table: JuryTable) -> list[ConditionResult]:
-    """Read the ``degree + 1`` stability inequalities off ``table``.
-
-    Degree 1 needs only the two boundary evaluations, degree 2 adds the
-    outer-coefficient magnitude test, and each reduced row contributes one
-    |last| > |first| test. The first three are evaluated on the input row,
-    which the table has brought into [2**-256, 2**256].
-    """
-    return [ConditionResult(index, _describe(index), lhs, rhs,
-                            margin > tolerance, margin, tolerance)
-            for index, (lhs, rhs, margin, tolerance)
-            in enumerate(_condition_terms(table), start=1)]
+    """The ``degree + 1`` stability inequalities of ``table``: from degree
+    2 on, the three of the input row and one per reduced row."""
+    terms = list(_condition_terms(table))
+    readings = _readings(table)  # settled up to the first failure; the rest as read
+    readings += [_read(margin, rounding) for _, _, margin, rounding in terms[len(readings):]]
+    return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
+            for index, ((lhs, rhs, margin, _), reading) in enumerate(zip(terms, readings), start=1)]
 
 
 _INPUT_ROW_TESTS = ("P(1) > 0", "(-1)^m P(-1) > 0", "|a_m| < a_0")
@@ -279,36 +234,77 @@ def _describe(index: int) -> str:
 
 
 def _condition_terms(table: JuryTable) -> Iterator[tuple[float, float, float, float]]:
-    """``(lhs, rhs, margin, tolerance)`` of each condition, in index order.
+    """``(lhs, rhs, margin, rounding)`` of each condition, in index order.
 
-    ``tolerance`` is the MARGIN_TOL band scaled to the operands. A reduced
-    row's condition reads only its first and last entries, so the rows
-    are never expanded.
+    ``rounding`` estimates the error in ``margin``: Horner's bound
+    ``2m u sum |a_i|`` (u = 2**-53) for the boundary evaluations, else
+    ``2m**2 u (lhs + rhs)`` (a ratio of a row's entries gathers the errors
+    of every row before it) times the growth ``(l**2 + f**2) / |l**2 - f**2|``
+    of each reduction so far, from its row's first and last entries.
     """
-    rows = iter(table.live)
-    top = next(rows)
+    top = previous = table.live[0]
     m = len(top) - 1
-    # boundary evaluations carry rounding noise ~ eps * sum |a_i|
-    boundary_tolerance = MARGIN_TOL * sum(abs(c) for c in top)
+    horner = 2 * m * _UNIT_ROUNDOFF * sum(map(abs, top))
+    rounding = 2 * m * m * _UNIT_ROUNDOFF
     value_at_one = evaluate(top, 1.0)
-    yield value_at_one, 0.0, value_at_one, boundary_tolerance
+    yield value_at_one, 0.0, value_at_one, horner
     alternating = (-1.0) ** m * evaluate(top, -1.0)
-    yield alternating, 0.0, alternating, boundary_tolerance
+    yield alternating, 0.0, alternating, horner
     if m >= 2:
-        yield (abs(top[m]), top[0], top[0] - abs(top[m]),
-               MARGIN_TOL * max(abs(top[m]), top[0]))
-    for row in rows:
+        yield abs(top[m]), top[0], top[0] - abs(top[m]), rounding * (abs(top[m]) + top[0])
+    for row in table.live[1:]:
+        f, l = previous[0], previous[-1]
+        cancelled = abs(l * l - f * f)
+        rounding = rounding * (l * l + f * f) / cancelled if cancelled else math.inf
         first, last = abs(row[0]), abs(row[-1])
-        yield last, first, last - first, MARGIN_TOL * max(last, first)
+        yield last, first, last - first, rounding * (last + first)
+        previous = row
+
+
+def _read(margin, bound) -> bool | None:
+    """True if a condition holds, False if it fails, None within ``bound``."""
+    return True if margin > bound else False if margin < -bound else None
+
+
+def _readings(table: JuryTable) -> list[bool | None]:
+    """The conditions of ``table`` read against their rounding estimates,
+    up to the first that fails. Where none fails but one is within its
+    estimate, its sign is noise, and all are read in decimal arithmetic."""
+    readings = []
+    for _, _, margin, rounding in _condition_terms(table):
+        readings.append(_read(margin, rounding))
+        if readings[-1] is False:
+            return readings
+    return _precise_readings(table) if None in readings else readings
+
+
+def _precise_readings(table: JuryTable) -> list[bool | None]:
+    """The conditions of ``table`` from its unrounded input row, reduced
+    at ``_PRECISE_DIGITS`` digits, each row scaled by a power of ten; None
+    only for a boundary evaluation within its rounding bound even so."""
+    from decimal import Decimal, localcontext  # imported only when needed
+    with localcontext() as context:
+        context.prec = _PRECISE_DIGITS
+        radius, m = Decimal(table.radius), len(table.coeffs) - 1
+        row = [Decimal(c) * radius ** (m - k) for k, c in enumerate(table.coeffs)]
+        bound = 2 * m * Decimal(10) ** (1 - _PRECISE_DIGITS) * sum(map(abs, row))
+        margins = [(sum(row), bound), (sum(row[::2]) - sum(row[1::2]), bound),
+                   (row[0] - abs(row[m]), 0)][:m + 1]  # degree 1: no |a_m| < a_0
+        for width in range(len(row), 3, -1):
+            first, last = row[0], row[-1]
+            if any(row[1:-2]):
+                row = [last * row[k + 1] - row[-2 - k] * first for k in range(width - 1)]
+            else:  # the interior stays zero, as in jury_table
+                row = [-row[-2] * first, row[1], last * row[-2], last * last - first * first]
+            exponent = max((c.adjusted() for c in row if c), default=0)
+            row = [c.scaleb(-exponent) for c in row]
+            margins.append((abs(row[-1]) - abs(row[0]), 0))
+        return [_read(*term) for term in margins]
 
 
 def classify_modulus(modulus: float) -> str:
     """The unit-circle rule: marginal within MARGIN_TOL of 1."""
-    if modulus < 1.0 - MARGIN_TOL:
-        return STABLE
-    if modulus > 1.0 + MARGIN_TOL:
-        return UNSTABLE
-    return MARGINAL
+    return STABLE if modulus < INNER_RADIUS else UNSTABLE if modulus > OUTER_RADIUS else MARGINAL
 
 
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
@@ -320,26 +316,32 @@ def oracle_verdict(p: Polynomial) -> StabilityVerdict:
 
 
 def jury_verdict(p: Polynomial) -> StabilityVerdict:
-    """Classify ``p`` by the coefficient conditions.
-
-    A condition failing beyond its tolerance wins over ones sitting at
-    equality: the polynomial is then unstable no matter how the marginal
-    ones resolve. With no clear failure, the first condition inside its
-    band yields a marginal verdict. The margins are the ones
-    :func:`jury_conditions` reports, read off the input row and the ends
-    of each reduced row without building a record. A singular table
-    delegates to the root-modulus oracle, and the verdict's ``reason``
-    says why.
+    """Classify ``p`` by the coefficient conditions at the two radii:
+    ``stable`` when every condition holds on the table of
+    ``p(INNER_RADIUS * z)``, else ``unstable`` when one fails on that of
+    ``p(OUTER_RADIUS * z)``, else ``marginal``. A singular table delegates
+    to the root-modulus oracle, and the verdict's ``reason`` says why.
     """
     try:
-        table = jury_table(p)
+        inner = jury_table(p, INNER_RADIUS)
+        held = _readings(inner)
+        if all(held):
+            return StabilityVerdict(STABLE, None, JURY, table=inner)
+        outer = jury_table(p, OUTER_RADIUS)
     except SingularTableError as exc:
         return replace(oracle_verdict(p), reason=str(exc))
-    status, witness = STABLE, None
-    for index, (_, _, margin, tolerance) in enumerate(_condition_terms(table), start=1):
-        if margin < -tolerance:
-            status, witness = UNSTABLE, index
-            break
-        if status == STABLE and abs(margin) <= tolerance:
-            status, witness = MARGINAL, index
-    return StabilityVerdict(status, witness, JURY, table=table)
+    failed = _readings(outer)
+    if False in failed:
+        return StabilityVerdict(UNSTABLE, failed.index(False) + 1, JURY, table=outer)
+    unmet = next(index for index, reading in enumerate(held, start=1) if not reading)
+    return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
+
+
+def is_stable(p: Polynomial) -> tuple[bool, str]:
+    """Whether :func:`jury_verdict`'s first table reads ``p`` stable, and
+    the method that decided: JURY, or ORACLE where that table is singular.
+    """
+    try:
+        return all(_readings(jury_table(p, INNER_RADIUS))), JURY
+    except SingularTableError:
+        return oracle_verdict(p).status == STABLE, ORACLE

@@ -2,11 +2,10 @@
 
 For each delay the non-trivial fixed point is stable on an open interval
 (0, f(tau)) of the reproduction rate; f is located by bisecting the
-stability predicate. The predicate is the coefficient test of
-:mod:`jury`; the root oracle stands in only where the table is singular.
-Marginal verdicts count as unstable while bracketing and bisecting, so
-the reported threshold approaches the open interval's supremum from
-below.
+predicate "stable?", which runs only the inner-radius table of
+:mod:`jury` (the root oracle where that table is singular). A rate in the
+marginal band is not stable, so the threshold found is the band's lower
+edge, about 2.2e-12 below f(tau) at every delay.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .delay_map import NONTRIVIAL, char_poly
-from .jury import STABLE, StabilityVerdict, jury_verdict
+from .jury import is_stable
 
 DEFAULT_TOL = 1e-10
 
@@ -48,13 +47,11 @@ class BoundaryTable:
     monotone_decreasing: bool
 
 
-def is_stable_nontrivial(tau: int, r: float) -> StabilityVerdict:
-    """The coefficient test's verdict on the capacity point at ``tau``, ``r``.
-
-    A singular table falls back to the root oracle, and the verdict's
-    ``method`` says so.
+def is_stable_nontrivial(tau: int, r: float) -> tuple[bool, str]:
+    """Whether the capacity point at ``tau``, ``r`` is stable, and the
+    method that decided: "jury", or "oracle" where the table is singular.
     """
-    return jury_verdict(char_poly(tau, r, NONTRIVIAL))
+    return is_stable(char_poly(tau, r, NONTRIVIAL))
 
 
 def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:
@@ -74,9 +71,9 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL) -> BoundaryPoint:
     methods_used: set[str] = set()
 
     def stable(r: float) -> bool:
-        verdict = is_stable_nontrivial(tau, r)
-        methods_used.add(verdict.method)
-        return verdict.status == STABLE
+        holds, method = is_stable_nontrivial(tau, r)
+        methods_used.add(method)
+        return holds
 
     r = _BRACKET_START
     rising = stable(r)

@@ -32,15 +32,15 @@ def _run(capsys, argv):
 # all -0.0; the last simulate run diverges to a nan, printed as null.
 @pytest.mark.parametrize("argv,digest", [
     (["boundary", "--tau-max", "30", "--format", "json"],
-     "7e0c477509cef254f25a3017e45ba4966af46f85d095d78e6148c55312dbbebd"),
+     "ee8f22580e54e5f1ca1718e19db8bf8999e99834bc1501ed3e482de0e6bd5a5a"),
     (["boundary", "--tau-max", "30", "--format", "csv"],
-     "ca918fad2f23de03d019499b58769993105aa21351340dbb4484662841be6114"),
+     "0a0e9b846297f218d2d548c7ac8114b54d4fd4d0f631bfff14574aa12ef0f84c"),
     (["stability", "--tau", "40", "--r", "-0.05", "--point", "nontrivial"],
-     "691d539101023254e8b2f447dd83551e86027d8e3b90fa67573de5ba607da513"),
+     "f42e0254d322b08a338d40e51b1d11e3df05db7d8bbbb903b64dd484736e9de4"),
     (["stability", "--tau", "17", "--r", "0.05", "--point", "nontrivial"],
-     "fd14fbfdbee62b64c5bf3b4430cb8ccc35c0070ba30067ea83aadd452fcda020"),
+     "4d3e096d92a7cd0da16eaa70ef665e2f86ce9f3f760950159f57e887651d317e"),
     (["jury", "--coeffs", "1,-1,0,0,0,0,-0.3"],
-     "5880a4cf961b613410f0a280e2bda4b25ca60f2ff324506f0115c7bfe71c8099"),
+     "ec18edf49a716d852bad042db455552ca4f32cdcbbb19205a93954f69a298e5c"),
     (["simulate", "--r", "0.106", "--K", "2800", "--tau", "17", "--x0", "1400",
       "--steps", "2000"],
      "8c5292a6ba465eafcd4c7cae2e1b93f076b2128e2a17f3cf49f233172922245e"),
@@ -292,6 +292,31 @@ def test_stability_jury_payload_lists_conditions(capsys):
                                   "method": "jury"}
     assert [c["index"] for c in payload["conditions"]] == [1, 2, 3]
     assert all(c["satisfied"] for c in payload["conditions"])
+    assert payload["radius"] == jury.INNER_RADIUS
+
+
+def test_stability_reads_marginal_just_past_a_deep_threshold(capsys):
+    # 2.1e-13 (relative) above f(1000), inside the marginal band: both
+    # radius tables are needed, and the payload names the one the witness
+    # indexes
+    code, out, err = _run(capsys, ["stability", "--tau", "1000", "--r",
+                                   "0.0015700111598856298", "--point", "nontrivial"])
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert payload["verdict"] == {"status": "marginal", "witness": 1002,
+                                  "method": "jury"}
+    assert payload["radius"] == jury.INNER_RADIUS
+    assert payload["conditions"][1001]["satisfied"] is False
+
+
+def test_jury_at_the_largest_doubles_reads_marginal(capsys):
+    # the input row is brought into range before the radius scales it, so
+    # nothing overflows; the root is -1
+    code, out, err = _run(capsys, ["jury", "--coeffs",
+                                   "1.7976931348623157e308,1.7976931348623157e308"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == {"status": "marginal", "witness": 2,
+                                          "method": "jury"}
 
 
 def test_stability_long_delay_is_decided_by_the_table(capsys):
@@ -355,7 +380,13 @@ def test_jury_subcommand_full_payload(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["verdict"]["status"] == "stable"
-    assert payload["table_rows"] == [[1.0, -1.0, 0.0, 0.5], [-0.5, 1.0, -0.75]]
+    # a stable verdict shows the table of p((1 - 1e-12) z), whose rows are
+    # those of p itself to within 1e-11
+    assert payload["radius"] == jury.INNER_RADIUS
+    table = jury.jury_table(polynomial.Polynomial((1.0, -1.0, 0.0, 0.5)),
+                            jury.INNER_RADIUS)
+    assert payload["table_rows"] == [list(row) for row in table.rows]
+    assert payload["table_rows"][1] == pytest.approx([-0.5, 1.0, -0.75], rel=1e-11)
     assert len(payload["conditions"]) == 4
 
 
@@ -363,13 +394,13 @@ def test_jury_subcommand_low_degree_table_is_the_input_row(capsys):
     code, out, _ = _run(capsys, ["jury", "--coeffs", "1,0.999"])
     payload = json.loads(out)
     assert code == 0
-    assert payload["table_rows"] == [[1.0, 0.999]]
+    assert payload["table_rows"] == [[jury.INNER_RADIUS, 0.999]]
     assert payload["table_shifts"] == [0]
     assert payload["verdict"]["status"] == "stable"
 
 
 def test_jury_subcommand_singular_table_notes_fallback(capsys):
-    code, out, _ = _run(capsys, ["jury", "--coeffs", "1,1,0,0,1.25,0.5"])
+    code, out, _ = _run(capsys, ["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS])
     payload = json.loads(out)
     assert code == 0
     assert payload["table_rows"] is None
@@ -379,15 +410,21 @@ def test_jury_subcommand_singular_table_notes_fallback(capsys):
     assert "root_moduli" in payload
 
 
+# singular at both radii 1 -+ 1e-12: reduced row 3 ends in an exact zero
+# (a root at -1), and a power of two times it keeps that row exactly
+_SINGULAR_AT_EVERY_RADIUS = "1,-2,-2,-2,-2,2,1"
+
+
 @pytest.mark.parametrize("coeffs, note", [
     # the input row is scaled by 2**-664, which takes 1e-300 to 0: the note
     # quotes the coefficient as given
     ("1,1e200,0,1e-300", "singular table: input row ends in 1.000e-300"),
-    # reduced row 1 is scaled by 2**465 and ends in an exact 0
-    ("1e-70,2e-70,3e-70,4e-70,1e-70",
-     "singular table: reduced row 1 ends in 0.000e+00 (row scaled by 2**465)"),
-    # no row is rescaled: the note is as it always was
-    ("1,1,0,0,1.25,0.5", "singular table: reduced row 2 ends in 0.000e+00"),
+    # 2**-40 times the input: reduced row 3 is scaled by 2**350 and ends
+    # in an exact 0
+    (",".join(repr(2.0 ** -40 * float(c)) for c in _SINGULAR_AT_EVERY_RADIUS.split(",")),
+     "singular table: reduced row 3 ends in 0.000e+00 (row scaled by 2**350)"),
+    # no row is rescaled: the note has no power of two
+    (_SINGULAR_AT_EVERY_RADIUS, "singular table: reduced row 3 ends in 0.000e+00"),
 ], ids=["input-row", "rescaled-reduced-row", "reduced-row"])
 def test_singular_note_is_in_the_input_units(capsys, coeffs, note):
     code, out, _ = _run(capsys, ["jury", "--coeffs", coeffs])
@@ -508,7 +545,7 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("argv, tables, roots", [
     (["jury", "--coeffs", "1,-1,0,0.5"], 1, 0),
-    (["jury", "--coeffs", "1,1,0,0,1.25,0.5"], 1, 1),
+    (["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS], 1, 1),
     (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"], 1, 0),
     (["stability", "--tau", "12", "--r", "-1", "--point", "trivial"], 1, 1),
     (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial",

@@ -1,16 +1,21 @@
+import cmath
 import math
 import random
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, char_poly
 from delaylogistic.jury import (
+    INNER_RADIUS,
     MARGINAL,
+    OUTER_RADIUS,
     STABLE,
     UNSTABLE,
     SingularTableError,
     StabilityVerdict,
+    is_stable,
     jury_conditions,
     jury_table,
     jury_verdict,
@@ -125,17 +130,20 @@ def test_low_degree_verdict_is_independent_of_the_input_scale(coeffs, scale):
     verdict = jury_verdict(p)
     assert verdict == jury_verdict(Polynomial(coeffs))
     assert verdict.status == STABLE and verdict.method == "jury"
-    assert all(math.isfinite(c.margin) and math.isfinite(c.tolerance)
-               for c in jury_conditions(verdict.table))
+    assert all(math.isfinite(c.margin) for c in jury_conditions(verdict.table))
 
 
 def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
     # nearly self-reciprocal: the first reduction cancels every entry down
-    # to ~1e-13, good to ~1e-3 relative, so the oracle decides
+    # to ~1e-13, good to ~1e-3 relative, so the table is singular
     p = Polynomial((1.0, 0.3, -0.2, 0.3, 1.0 - 1e-13))
     with pytest.raises(SingularTableError):
         jury_table(p)
-    assert jury_verdict(p).method == "oracle"
+    # at the radii 1 -+ 1e-12 the pivot moves by 4e-12, clear of the noise,
+    # and the tables read what the oracle reads: rho = 1 - 2e-14, marginal
+    verdict = jury_verdict(p)
+    assert (verdict.status, verdict.method) == (MARGINAL, "jury")
+    assert oracle_verdict(p).status == MARGINAL
 
 
 def test_conditions_all_satisfied_inside_the_stable_range():
@@ -212,8 +220,16 @@ def test_verdict_unstable_at_six_decimal_rounding_of_threshold():
     assert verdict.witness == 5
 
 
+# singular at radius 1 and at both radii 1 -+ MARGIN_TOL: reduced row 3
+# ends in an exact zero (the polynomial has a root at -1)
+SINGULAR_AT_EVERY_RADIUS = (1.0, -2.0, -2.0, -2.0, -2.0, 2.0, 1.0)
+
+
 def test_verdict_falls_back_to_oracle_on_singular_table():
-    p = Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5))
+    p = Polynomial(SINGULAR_AT_EVERY_RADIUS)
+    for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
+        with pytest.raises(SingularTableError):
+            jury_table(p, radius)
     verdict = jury_verdict(p)
     assert verdict.method == "oracle"
     assert verdict.status == UNSTABLE
@@ -221,25 +237,34 @@ def test_verdict_falls_back_to_oracle_on_singular_table():
 
 
 def test_table_verdict_carries_its_table_and_conditions():
+    # the table a verdict carries is the one its witness indexes: the
+    # outer-radius table for an unstable verdict, the inner one otherwise
     p = Polynomial((1.0, -1.0, 0.0, 0.7))
     verdict = jury_verdict(p)
     assert verdict.method == "jury" and verdict.status == UNSTABLE
-    assert verdict.table == jury_table(p)
-    assert jury_conditions(verdict.table) == jury_conditions(jury_table(p))
+    assert verdict.table == jury_table(p, OUTER_RADIUS)
+    assert verdict.table.radius == OUTER_RADIUS
+    conditions = jury_conditions(verdict.table)
+    assert conditions == jury_conditions(jury_table(p, OUTER_RADIUS))
+    assert conditions[verdict.witness - 1].satisfied is False
     assert verdict.root_set is None and verdict.reason is None
     assert not hasattr(verdict, "conditions")
+    marginal = jury_verdict(Polynomial((1.0, -1.0, 1.0)))
+    assert marginal.status == MARGINAL and marginal.table.radius == INNER_RADIUS
+    assert jury_conditions(marginal.table)[marginal.witness - 1].satisfied is not True
     low = jury_verdict(Polynomial((1.0, 0.999)))
-    assert low.table.rows == ((1.0, 0.999),)
+    assert low.status == STABLE and low.table.radius == INNER_RADIUS
+    assert low.table.rows == ((INNER_RADIUS, 0.999),)
     assert len(jury_conditions(low.table)) == 2
 
 
 def test_fallback_verdict_carries_its_roots_and_reason():
-    p = Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5))
+    p = Polynomial(SINGULAR_AT_EVERY_RADIUS)
     verdict = jury_verdict(p)
     assert verdict.method == "oracle"
-    assert verdict.reason.startswith("singular table: reduced row 2")
+    assert verdict.reason.startswith("singular table: reduced row 3")
     assert verdict.table is None
-    assert len(verdict.root_set.roots) == 5
+    assert len(verdict.root_set.roots) == 6
     assert verdict.witness == max(abs(z) for z in verdict.root_set.roots)
     assert oracle_verdict(p).reason is None
 
@@ -429,21 +454,20 @@ def test_table_is_bitwise_the_dense_reduction_on_signed_zero_inputs():
 # records; held here to the rule applied to the records themselves.
 
 def _verdict_from_the_records(p: Polynomial):
-    """``(status, witness)`` by the verdict rule applied to
-    ``jury_conditions(jury_table(p))``, or None for a singular table: a
-    clear failure wins, else the first condition inside its band makes the
-    verdict marginal."""
+    """``(status, witness)`` by the verdict rule applied to the records of
+    the two radius tables, or None for a singular table: stable when every
+    inner record holds, else unstable at the first outer record that
+    fails, else marginal at the first inner record that does not hold."""
     try:
-        conditions = jury_conditions(jury_table(p))
+        inner = jury_conditions(jury_table(p, INNER_RADIUS))
+        unmet = next((c.index for c in inner if c.satisfied is not True), None)
+        if unmet is None:
+            return STABLE, None
+        outer = jury_conditions(jury_table(p, OUTER_RADIUS))
     except SingularTableError:
         return None
-    status, witness = STABLE, None
-    for cond in conditions:
-        if cond.margin < -cond.tolerance:
-            return UNSTABLE, cond.index
-        if status == STABLE and abs(cond.margin) <= cond.tolerance:
-            status, witness = MARGINAL, cond.index
-    return status, witness
+    failed = next((c.index for c in outer if c.satisfied is False), None)
+    return (MARGINAL, unmet) if failed is None else (UNSTABLE, failed)
 
 
 def _statuses_following_the_records(polys) -> dict[str, int]:
@@ -507,7 +531,7 @@ def test_verdict_follows_the_records_on_random_polynomials():
 def test_verdict_follows_the_records_across_input_scales():
     rng = random.Random(20261019)
     bases = [(1.0, -1.0, 0.0, 0.5), (1.0, -1.0, 0.0, 0.7), (1.0, -1.0, 1.0),
-             (1.0, 1.0, 0.0, 0.0, 1.25, 0.5)]
+             SINGULAR_AT_EVERY_RADIUS]
     for tau in (3, 17, 40, 200):
         threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
         bases += [char_poly(tau, fraction * threshold, NONTRIVIAL).coeffs
@@ -519,3 +543,127 @@ def test_verdict_follows_the_records_across_input_scales():
     seen = _statuses_following_the_records(
         Polynomial([scale * c for c in coeffs]) for coeffs in bases for scale in scales)
     assert min(seen.values()) >= 10, seen
+
+
+
+# Verdicts against a reference that shares no code with the table: the
+# root oracle where its spectral radius is clear of 1, else the roots at
+# 40 digits, since numpy misreads some inputs whose radius is within
+# 1e-10 of 1. No input is skipped.
+
+def _reference_status(p: Polynomial) -> str:
+    verdict = oracle_verdict(p)
+    if abs(verdict.witness - 1.0) > 1e-10:
+        return verdict.status
+    with mpmath.workdps(40):
+        found = mpmath.polyroots([mpmath.mpf(c) for c in p.coeffs],
+                                 maxsteps=200, extraprec=80)
+        rho = max(abs(z) for z in found)
+    return STABLE if rho < INNER_RADIUS else UNSTABLE if rho > OUTER_RADIUS else MARGINAL
+
+
+def _near_circle_polynomials() -> list[Polynomial]:
+    """600 polynomials of degree 1..10. Every other one has random
+    coefficients; the rest carry a conjugate pair 0, +-1e-13, +-1e-11 or
+    +-1e-9 off the unit circle, times real roots in (-0.95, 0.95)."""
+    rng = random.Random(17)
+    polys = []
+    for i in range(600):
+        degree = rng.randint(1, 10)
+        if i % 2 or degree < 2:
+            coeffs = [rng.uniform(0.5, 2.0)] + [rng.uniform(-2.0, 2.0) for _ in range(degree)]
+        else:
+            offset = rng.choice((0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9))
+            z = cmath.rect(1.0 + offset, rng.uniform(0.05, math.pi - 0.05))
+            coeffs = [1.0, -2.0 * z.real, abs(z) ** 2]
+            for _ in range(degree - 2):
+                coeffs = _times(coeffs, [1.0, -rng.uniform(-0.95, 0.95)])
+        polys.append(Polynomial(coeffs))
+    return polys
+
+
+def test_verdict_agrees_with_the_reference_near_the_unit_circle():
+    seen = {STABLE: 0, UNSTABLE: 0, MARGINAL: 0}
+    for p in _near_circle_polynomials():
+        expected = _reference_status(p)
+        assert jury_verdict(p).status == expected, p.coeffs
+        seen[expected] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1.0, -2.0, 1.0), (1.0, 2.0, 1.0), (1.0, -3.0, 3.0, -1.0),
+    (1.0, 0.0, 2.0, 0.0, 1.0), _times((1.0, -2.0, 1.0), (1.0, -0.5)),
+    _times((1.0, -1.0, 1.0), (1.0, -1.0, 1.0)), (1.0, 0.0, -1.0),
+], ids=["(z-1)^2", "(z+1)^2", "(z-1)^3", "(z^2+1)^2", "(z-1)^2(z-0.5)",
+        "(z^2-z+1)^2", "(z-1)(z+1)"])
+def test_roots_exactly_on_the_unit_circle_read_marginal(coeffs):
+    # a root of multiplicity k on the circle moves the conditions by
+    # O(1e-12**k) between the radii, below the rounding of a double table
+    verdict = jury_verdict(Polynomial(coeffs))
+    assert (verdict.status, verdict.method) == (MARGINAL, "jury")
+
+
+def _dominant_modulus(tau: int, r: float):
+    """The modulus of the root of ``lambda**(tau+1) - lambda**tau + r``
+    that crosses the unit circle at ``f(tau)``, by Newton's method at 60
+    digits from ``exp(i pi / (2 tau + 1))``."""
+    with mpmath.workdps(60):
+        z, r = mpmath.expjpi(mpmath.mpf(1) / (2 * tau + 1)), mpmath.mpf(r)
+        for _ in range(50):
+            step = ((z - 1) * z ** tau + r) / (((tau + 1) * z - tau) * z ** (tau - 1))
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -55:
+                return abs(z)
+    raise AssertionError(f"Newton did not converge at tau={tau}, r={r!r}")
+
+
+@pytest.mark.parametrize("tau", [120, 400, 1000])
+def test_delay_family_verdicts_near_the_threshold(tau):
+    with mpmath.workdps(50):
+        f = 2 * mpmath.sin(mpmath.pi / (2 * (2 * tau + 1)))
+    # the 300 doubles above f(tau) are past the threshold, the 300 below
+    # short of it: none may read stable or unstable respectively
+    above = below = float(f)
+    above = above if above > f else math.nextafter(above, math.inf)
+    below = below if below < f else math.nextafter(below, 0.0)
+    for _ in range(300):
+        assert not is_stable(char_poly(tau, above, NONTRIVIAL))[0], above
+        assert jury_verdict(char_poly(tau, below, NONTRIVIAL)).status != UNSTABLE, below
+        above, below = math.nextafter(above, math.inf), math.nextafter(below, 0.0)
+    # across f -+ 6e-12 the verdict follows the rule on the root modulus:
+    # stable, then marginal over about f -+ 2.2e-12, then unstable
+    seen = []
+    for k in range(-12, 13):
+        r = float(f + k * mpmath.mpf("5e-13"))
+        rho = _dominant_modulus(tau, r)
+        expected = (STABLE if rho < INNER_RADIUS else
+                    UNSTABLE if rho > OUTER_RADIUS else MARGINAL)
+        assert jury_verdict(char_poly(tau, r, NONTRIVIAL)).status == expected, (k, r)
+        seen.append(expected)
+    assert seen == [STABLE] * 8 + [MARGINAL] * 9 + [UNSTABLE] * 8, seen
+
+
+@pytest.mark.parametrize("tau", [30, 300])
+def test_delay_family_verdicts_next_to_the_band_edges(tau):
+    # within 40 doubles of the rates where the dominant root modulus is
+    # 1 -+ 1e-12, the last condition's double margin is rounding noise, and
+    # only the decimal re-read follows the rule
+    with mpmath.workdps(60):
+        f = 2 * mpmath.sin(mpmath.pi / (2 * (2 * tau + 1)))
+        for radius in (INNER_RADIUS, OUTER_RADIUS):
+            lo, hi = f - mpmath.mpf("1e-11"), f + mpmath.mpf("1e-11")
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if _dominant_modulus(tau, mid) < radius else (lo, mid)
+            r = float(lo)
+            for _ in range(40):
+                r = math.nextafter(r, 0.0)
+            for _ in range(81):
+                rho = _dominant_modulus(tau, r)
+                p = char_poly(tau, r, NONTRIVIAL)
+                if radius < 1.0:
+                    assert is_stable(p)[0] == (rho < INNER_RADIUS), r
+                else:
+                    assert (jury_verdict(p).status == UNSTABLE) == (rho > OUTER_RADIUS), r
+                r = math.nextafter(r, 1.0)

@@ -12,6 +12,7 @@ from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
     StabilityVerdict,
+    is_stable,
     jury_verdict,
     oracle_verdict,
 )
@@ -32,13 +33,24 @@ def _oracle_nontrivial(tau, r):
     return oracle_verdict(char_poly(tau, r, NONTRIVIAL))
 
 
+def _jury_nontrivial(tau, r):
+    return jury_verdict(char_poly(tau, r, NONTRIVIAL))
+
+
+def _oracle_is_stable(p):
+    """``jury.is_stable`` answered by the root oracle alone."""
+    return oracle_verdict(p).status == STABLE, ORACLE
+
+
 REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 
 def test_is_stable_examples():
-    assert is_stable_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
-    assert is_stable_nontrivial(2, 0.7).status == UNSTABLE
-    assert is_stable_nontrivial(0, 2.5).status == UNSTABLE
+    assert is_stable_nontrivial(1, 0.5) == (True, JURY)
+    assert _jury_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
+    for tau, r in [(2, 0.7), (0, 2.5)]:
+        assert is_stable_nontrivial(tau, r) == (False, JURY)
+        assert _jury_nontrivial(tau, r).status == UNSTABLE
 
 
 def test_is_stable_rejects_a_non_finite_rate():
@@ -47,9 +59,11 @@ def test_is_stable_rejects_a_non_finite_rate():
 
 
 def test_stable_range_is_open_at_zero():
-    assert is_stable_nontrivial(2, -1e-3).status == UNSTABLE
+    assert is_stable_nontrivial(2, -1e-3) == (False, JURY)
+    assert _jury_nontrivial(2, -1e-3).status == UNSTABLE
     assert _oracle_nontrivial(2, -1e-3).status == UNSTABLE
-    assert is_stable_nontrivial(2, 0.0).status == MARGINAL
+    assert is_stable_nontrivial(2, 0.0) == (False, ORACLE)  # a zero pivot
+    assert _jury_nontrivial(2, 0.0).status == MARGINAL
     assert _oracle_nontrivial(2, 0.0).status == MARGINAL
 
 
@@ -84,7 +98,7 @@ def test_critical_r_below_default_bracket_start():
 def test_methods_agree_on_the_threshold(monkeypatch, tau):
     tol = 1e-9
     via_jury = critical_r(tau, tol=tol)
-    monkeypatch.setattr(sweep, "jury_verdict", oracle_verdict)
+    monkeypatch.setattr(sweep, "is_stable", _oracle_is_stable)
     via_oracle = critical_r(tau, tol=tol)
     assert (via_jury.method, via_oracle.method) == (JURY, ORACLE)
     assert abs(via_jury.r_critical - via_oracle.r_critical) <= 100.0 * tol
@@ -93,8 +107,9 @@ def test_methods_agree_on_the_threshold(monkeypatch, tau):
 @pytest.mark.parametrize("tau", [0, 1, 2, 3, 6, 10])
 def test_threshold_is_sharp(tau):
     threshold = critical_r(tau).r_critical
-    assert is_stable_nontrivial(tau, threshold - 1e-6).status == STABLE
-    assert is_stable_nontrivial(tau, threshold + 1e-6).status == UNSTABLE
+    assert is_stable_nontrivial(tau, threshold - 1e-6) == (True, JURY)
+    assert is_stable_nontrivial(tau, threshold + 1e-6) == (False, JURY)
+    assert _jury_nontrivial(tau, threshold + 1e-6).status == UNSTABLE
 
 
 def test_boundary_table_low_delays():
@@ -127,13 +142,13 @@ def test_critical_r_rejects_bad_tol():
 def test_bracketing_error_when_no_flip_exists(monkeypatch):
     # the walk's rates, bit for bit: up by doubling to the cap, or down by
     # halving until past the floor
-    for status, expected in [(STABLE, [0.1 * 2.0**k for k in range(6)] + [4.0]),
-                             (UNSTABLE, [0.1 * 2.0**-k for k in range(28)])]:
+    for stable, expected in [(True, [0.1 * 2.0**k for k in range(6)] + [4.0]),
+                             (False, [0.1 * 2.0**-k for k in range(28)])]:
         seen = []
 
-        def verdict(tau, r, status=status, seen=seen):
+        def verdict(tau, r, stable=stable, seen=seen):
             seen.append(r)
-            return StabilityVerdict(status, None, JURY)
+            return stable, JURY
 
         monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
         with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
@@ -144,7 +159,9 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 @pytest.mark.parametrize("tau", [13, 17, 30, 60, 200, 1000])
 @pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
 def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
-    verdict = is_stable_nontrivial(tau, fraction * _candidate_threshold(tau))
+    r = fraction * _candidate_threshold(tau)
+    assert is_stable_nontrivial(tau, r) == (expected == STABLE, JURY)
+    verdict = _jury_nontrivial(tau, r)
     assert verdict.method == JURY
     assert verdict.status == expected
 
@@ -157,13 +174,13 @@ def test_critical_r_matches_closed_form_at_long_delay(tau):
 
 
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
-    monkeypatch.setattr(sweep, "jury_verdict", oracle_verdict)
+    monkeypatch.setattr(sweep, "is_stable", _oracle_is_stable)
     assert critical_r(2).method == "oracle"
 
     # the oracle decides only rates above 0.5; the bracket passes 0.8
     monkeypatch.setattr(
-        sweep, "jury_verdict",
-        lambda p: oracle_verdict(p) if p.coeffs[-1] > 0.5 else jury_verdict(p))
+        sweep, "is_stable",
+        lambda p: _oracle_is_stable(p) if p.coeffs[-1] > 0.5 else is_stable(p))
     point = critical_r(2)
     assert point.method == "jury+oracle"
     assert point.r_critical == pytest.approx(_candidate_threshold(2), abs=1e-9)

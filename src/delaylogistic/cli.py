@@ -141,8 +141,9 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
+        conditions = jury.jury_conditions(verdict.table, verdict.readings)
         return {"radius": verdict.table.radius,
-                "conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
+                "conditions": [c._asdict() for c in conditions]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"

@@ -129,7 +129,10 @@ class StabilityVerdict:
     fails at the outer radius (unstable) or does not hold at the inner one
     (marginal). An ORACLE witness is the spectral radius, with the
     ``root_set`` and, where it stood in for a singular table, the
-    ``reason``. The evidence fields do not take part in equality.
+    ``reason``. A JURY verdict's ``readings`` are its table's conditions
+    as the verdict read them, up to the first that fails, for
+    :func:`jury_conditions`. The evidence fields do not take part in
+    equality.
     """
 
     status: str
@@ -138,6 +141,7 @@ class StabilityVerdict:
     table: JuryTable | None = field(default=None, compare=False)
     root_set: RootSet | None = field(default=None, compare=False)
     reason: str | None = field(default=None, compare=False)
+    readings: tuple[bool | None, ...] | None = field(default=None, compare=False)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
@@ -214,11 +218,15 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
-def jury_conditions(table: JuryTable) -> list[ConditionResult]:
+def jury_conditions(table: JuryTable,
+                    readings: tuple[bool | None, ...] | None = None) -> list[ConditionResult]:
     """The ``degree + 1`` stability inequalities of ``table``: from degree
-    2 on, the three of the input row and one per reduced row."""
+    2 on, the three of the input row and one per reduced row. ``readings``
+    are the table's readings where a verdict already made them (see
+    :attr:`StabilityVerdict.readings`); else the table is read here."""
     terms = list(_condition_terms(table))
-    readings = _readings(table)  # settled up to the first failure; the rest as read
+    # settled up to the first failure; the rest as read
+    readings = list(_readings(table) if readings is None else readings)
     readings += [_read(margin, rounding) for _, _, margin, rounding in terms[len(readings):]]
     return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
             for index, ((lhs, rhs, margin, _), reading) in enumerate(zip(terms, readings), start=1)]
@@ -326,22 +334,58 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
         inner = jury_table(p, INNER_RADIUS)
         held = _readings(inner)
         if all(held):
-            return StabilityVerdict(STABLE, None, JURY, table=inner)
+            return StabilityVerdict(STABLE, None, JURY, table=inner, readings=tuple(held))
         outer = jury_table(p, OUTER_RADIUS)
     except SingularTableError as exc:
         return replace(oracle_verdict(p), reason=str(exc))
     failed = _readings(outer)
     if False in failed:
-        return StabilityVerdict(UNSTABLE, failed.index(False) + 1, JURY, table=outer)
+        return StabilityVerdict(UNSTABLE, failed.index(False) + 1, JURY, table=outer,
+                                readings=tuple(failed))
     unmet = next(index for index, reading in enumerate(held, start=1) if not reading)
-    return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
+    return StabilityVerdict(MARGINAL, unmet, JURY, table=inner, readings=tuple(held))
 
 
-def is_stable(p: Polynomial) -> tuple[bool, str]:
+class StableReading(tuple):
+    """The pair ``(holds, method)`` that :func:`is_stable` returns, carrying
+    ``guide``: the margin of its table's last condition over the size of
+    that condition's operands, or None where the oracle decided. ``guide``
+    takes no part in equality or unpacking, so a reading equals its pair.
+    """
+
+    guide: float | None
+
+    def __new__(cls, holds: bool, method: str, guide: float | None = None) -> StableReading:
+        reading = super().__new__(cls, (holds, method))
+        reading.guide = guide
+        return reading
+
+
+def is_stable(p: Polynomial) -> StableReading:
     """Whether :func:`jury_verdict`'s first table reads ``p`` stable, and
     the method that decided: JURY, or ORACLE where that table is singular.
+    A JURY reading's ``guide`` comes from the same table (see :func:`_guide`).
     """
     try:
-        return all(_readings(jury_table(p, INNER_RADIUS))), JURY
+        table = jury_table(p, INNER_RADIUS)
     except SingularTableError:
-        return oracle_verdict(p).status == STABLE, ORACLE
+        return StableReading(oracle_verdict(p).status == STABLE, ORACLE)
+    return StableReading(all(_readings(table)), JURY, _guide(table))
+
+
+def _guide(table: JuryTable) -> float:
+    """The margin of the last condition of ``table`` over its operands'
+    size, in [-1, 1]: positive where it holds, negative where it fails.
+
+    At degree 1 that condition is ``(-1)^m P(-1) > 0``, whose right side is
+    0, so it is scaled by ``sum |a_i|``; at degree 2 it is ``|a_m| < a_0``,
+    and from degree 3 ``|last| > |first|`` on the last reduced row. For
+    the delay family it is the condition that fails where a root pair
+    crosses the circle at f(tau), so a root of the guide in r places f.
+    """
+    top, last = table.live[0], table.live[-1]
+    if len(top) == 2:
+        return (top[0] - top[1]) / (abs(top[0]) + abs(top[1]))
+    holds_by, against = (top[0], abs(top[2])) if len(top) == 3 else (abs(last[-1]), abs(last[0]))
+    size = holds_by + against
+    return (holds_by - against) / size if size else 0.0

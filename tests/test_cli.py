@@ -32,9 +32,9 @@ def _run(capsys, argv):
 # all -0.0; the last simulate run diverges to a nan, printed as null.
 @pytest.mark.parametrize("argv,digest", [
     (["boundary", "--tau-max", "30", "--format", "json"],
-     "ee8f22580e54e5f1ca1718e19db8bf8999e99834bc1501ed3e482de0e6bd5a5a"),
+     "c52134139493edf27463fffb14d6c224ba8d34eee5d4b43afef86991d7a4c0c4"),
     (["boundary", "--tau-max", "30", "--format", "csv"],
-     "0a0e9b846297f218d2d548c7ac8114b54d4fd4d0f631bfff14574aa12ef0f84c"),
+     "ab4342839874f8e5aff088d669f9e70004e196332d18f6d1b325e944aeea4d14"),
     (["stability", "--tau", "40", "--r", "-0.05", "--point", "nontrivial"],
      "f42e0254d322b08a338d40e51b1d11e3df05db7d8bbbb903b64dd484736e9de4"),
     (["stability", "--tau", "17", "--r", "0.05", "--point", "nontrivial"],
@@ -560,6 +560,25 @@ def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
     assert code == 0
     assert counts["jury_table"] == tables
     assert counts["roots"] == roots
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["jury", "--coeffs", "1,-1,0,0.5"], 1),
+    (["jury", "--coeffs", "1,-1,0,0,0,0,-0.3"], 2),
+    (["jury", "--coeffs", "1,0,1"], 2),
+    (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"], 1),
+    (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial"], 2),
+    (["stability", "--tau", "1000", "--r", "0.0015700111598856298",
+      "--point", "nontrivial"], 2),
+], ids=["jury-stable", "jury-unstable", "jury-marginal", "stability-stable",
+        "stability-unstable", "stability-marginal"])
+def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, tables):
+    # the condition records reuse the readings the verdict made
+    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_readings")])
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["verdict"]["method"] == "jury"
+    assert counts["jury_table"] == counts["_readings"] == tables
 
 
 def test_jury_degenerate_polynomial_is_numeric_failure(capsys):

@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaylogistic import sweep
 from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly, simulate
@@ -12,6 +14,7 @@ from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
     StabilityVerdict,
+    StableReading,
     is_stable,
     jury_verdict,
     oracle_verdict,
@@ -40,6 +43,32 @@ def _jury_nontrivial(tau, r):
 def _oracle_is_stable(p):
     """``jury.is_stable`` answered by the root oracle alone."""
     return oracle_verdict(p).status == STABLE, ORACLE
+
+
+def _record_reads(monkeypatch):
+    """Every (tau, rate, verdict) the search reads, in order."""
+    reads = []
+
+    def recorded(tau, r, read=sweep.is_stable_nontrivial):
+        reading = read(tau, r)
+        reads.append((tau, r, reading[0]))
+        return reading
+
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", recorded)
+    return reads
+
+
+def _assert_read_bracket(point, reads, tol=sweep.DEFAULT_TOL):
+    """The point's bracket is the highest rate read stable and the lowest
+    read unstable, every stable read lies below every unstable one, and
+    ``tables`` counts the reads."""
+    stable = [r for tau, r, holds in reads if tau == point.tau and holds]
+    unstable = [r for tau, r, holds in reads if tau == point.tau and not holds]
+    lo, hi = max(stable), min(unstable)
+    assert lo < hi, point
+    assert point.r_critical == 0.5 * (lo + hi), point
+    assert point.bracket_width == hi - lo <= tol, point
+    assert point.tables == len(stable) + len(unstable), point
 
 
 REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
@@ -167,10 +196,95 @@ def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
 
 
 @pytest.mark.parametrize("tau", [17, 30, 200, 500, 1000])
-def test_critical_r_matches_closed_form_at_long_delay(tau):
+def test_critical_r_matches_closed_form_at_long_delay(monkeypatch, tau):
+    reads = _record_reads(monkeypatch)
     point = critical_r(tau)
     assert point.r_critical == pytest.approx(_candidate_threshold(tau), abs=1e-9)
     assert point.method == JURY
+    _assert_read_bracket(point, reads)
+
+
+@pytest.mark.parametrize("tau", [500, 1000])
+def test_seeded_search_at_long_delay(monkeypatch, tau):
+    # seeded as boundary_table seeds it, from the two delays before
+    before, previous = critical_r(tau - 2), critical_r(tau - 1)
+    reads = _record_reads(monkeypatch)
+    point = critical_r(tau, seed=previous.r_critical,
+                       step=before.r_critical - previous.r_critical)
+    assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9
+    assert point.method == JURY
+    _assert_read_bracket(point, reads)
+    assert point.tables <= 12
+
+
+def test_boundary_table_reads_both_ends_of_every_bracket(monkeypatch):
+    reads = _record_reads(monkeypatch)
+    table = boundary_table(200)
+    assert table.monotone_decreasing
+    for tau, point in enumerate(table.points):
+        assert point.tau == tau
+        assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9, point
+        assert point.method == JURY, point
+        _assert_read_bracket(point, reads)
+    tables = [point.tables for point in table.points]
+    assert max(tables) <= 20
+    assert sum(tables) <= 12 * len(tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.integers(min_value=0, max_value=60),
+       seed=st.floats(min_value=1e-6, max_value=4.0),
+       step=st.none() | st.floats(min_value=1e-6, max_value=4.0))
+def test_any_seed_finds_the_unseeded_threshold(tau, seed, step):
+    unseeded = critical_r(tau)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reads = _record_reads(monkeypatch)
+        seeded = critical_r(tau, seed=seed, step=step)
+    assert abs(seeded.r_critical - unseeded.r_critical) <= sweep.DEFAULT_TOL
+    assert seeded.method == JURY
+    _assert_read_bracket(seeded, reads)
+
+
+def test_critical_r_rejects_a_non_positive_seed_or_step():
+    for seed, step in [(0.0, None), (-0.1, None), (0.1, 0.0), (0.1, -1.0)]:
+        with pytest.raises(ValueError):
+            critical_r(2, seed=seed, step=step)
+
+
+@pytest.mark.parametrize("guide", [
+    lambda holds: -0.5 if holds else 0.5,  # wrong signs at both ends
+    lambda holds: 0.5 if holds else 1e-3,  # right at the stable end only
+    lambda holds: 0.25,
+    lambda holds: -0.25,
+    lambda holds: 0.0,
+], ids=["wrong-signed", "wrong-at-unstable", "constant-positive",
+        "constant-negative", "zero"])
+@pytest.mark.parametrize("tau", [0, 2, 17])
+def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
+    def without_guide(p):
+        holds, method = is_stable(p)
+        return holds, method
+
+    def misled(p):
+        holds, method = is_stable(p)
+        return StableReading(holds, method, guide(holds))
+
+    monkeypatch.setattr(sweep, "is_stable", without_guide)
+    bisected = critical_r(tau)
+    monkeypatch.setattr(sweep, "is_stable", misled)
+    point = critical_r(tau)
+    assert point == bisected  # midpoint steps only, the same rates read
+    assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9
+    assert point.tables > 30
+
+
+def test_is_stable_reading_carries_the_guide():
+    p = char_poly(5, 0.2, NONTRIVIAL)
+    reading = is_stable(p)
+    assert reading == (True, JURY) and 0.0 < reading.guide <= 1.0
+    assert is_stable(char_poly(5, 0.3, NONTRIVIAL)).guide < 0.0
+    assert is_stable(char_poly(0, 1.5, NONTRIVIAL)).guide == pytest.approx(0.5 / 1.5)
+    assert is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide is None  # the oracle decided
 
 
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):

@@ -13,7 +13,9 @@ The table is scale-free: the recurrence and every condition are
 homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
 power of two. Once a row's interior is zeros of one sign, every later row
 is too and is kept as its four distinct entries, bit for bit what the
-full reduction holds, so the delay family's table costs O(degree).
+full reduction holds, so the delay family's table costs O(degree). One
+row step, :func:`_reduced`, reduces the rows of both arithmetics the
+conditions are read in, doubles and decimals.
 
 One unit-circle rule decides every verdict: a root modulus within
 MARGIN_TOL of 1 is marginal. The root-modulus oracle applies it through
@@ -22,10 +24,12 @@ radius of ``p`` is below ``s`` exactly when ``p(s z)`` has every root
 inside the unit circle. The verdict runs the table of
 ``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
-condition fails, else ``marginal``. A condition whose margin lies within
-its rounding estimate is neither; if no condition fails, the conditions
-are read again in decimal arithmetic, which leaves undecided only the
-boundary evaluation of a root of high multiplicity at 1 or -1.
+condition fails, else ``marginal``. Every condition of a table is read in
+one pass. A condition whose margin lies within its rounding estimate is
+neither; if no condition fails, the conditions are read again in decimal
+arithmetic, which leaves undecided only the boundary evaluation of a root
+of high multiplicity at 1 or -1. Where one fails, the rest stay as read in
+doubles, so any of them may be undecided.
 
 The oracle also stands in where a table is singular (a zero pivot, such
 as the constant term of the all-zero fixed point's polynomial).
@@ -104,10 +108,13 @@ class JuryTable:
 class ConditionResult(NamedTuple):
     """One strict inequality, 1-indexed, with its signed slack in doubles.
 
-    ``satisfied`` is True if it holds, False if it fails: read in decimal
-    arithmetic where no condition fails but a margin is within its rounding
-    estimate, and None only for a boundary evaluation within Horner's bound
-    even then. Its ``_asdict()`` is the condition record of the payloads.
+    ``satisfied`` is True if it holds, False if it fails, and None where
+    its margin is within its rounding estimate. Where no condition of the
+    table fails but one is within its estimate, all are read in decimal
+    arithmetic, which leaves None only for a boundary evaluation within
+    Horner's bound; where one fails, the others stay as read in doubles,
+    so any of them may be None. Its ``_asdict()`` is the condition record
+    of the payloads.
     """
 
     index: int
@@ -129,10 +136,9 @@ class StabilityVerdict:
     fails at the outer radius (unstable) or does not hold at the inner one
     (marginal). An ORACLE witness is the spectral radius, with the
     ``root_set`` and, where it stood in for a singular table, the
-    ``reason``. A JURY verdict's ``readings`` are its table's conditions
-    as the verdict read them, up to the first that fails, for
-    :func:`jury_conditions`. The evidence fields do not take part in
-    equality.
+    ``reason``. A JURY verdict's ``readings`` are every condition of its
+    table as the verdict read them, for :func:`jury_conditions`. The
+    evidence fields do not take part in equality.
     """
 
     status: str
@@ -170,16 +176,9 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
         first, last = row[0], row[-1]
         if abs(last) <= _SINGULAR_TOL * scale:
             raise _singular(p, shifts, last)
-        if len(row) < width or _uniform_zero_interior(row):
-            # the interior stays one signed zero, and a power of two leaves
-            # it as it is, so rescaling the four live entries rescales the row
-            zero, penultimate = row[1], row[-2]
-            row = (last * zero - penultimate * first, last * zero - zero * first,
-                   last * penultimate - zero * first, last * last - first * first)
-        else:
-            m = width - 1
-            row = tuple([last * row[k + 1] - row[m - 1 - k] * first for k in range(m)])
-        row, shift = _in_range(row)
+        # a power of two leaves a signed zero as it is, so rescaling the
+        # four live entries of a row rescales the row
+        row, shift = _in_range(_reduced(row, width))
         scale = math.ldexp(last * last + first * first, shift)
         live.append(row)
         shifts.append(shift)
@@ -197,6 +196,19 @@ def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableErr
         if shifts[-1]:
             where += f" (row scaled by 2**{shifts[-1]})"
     return SingularTableError(f"singular table: {where}")
+
+
+def _reduced(row, width: int) -> tuple:
+    """The row after ``row``, a row of ``width`` entries, in the arithmetic
+    of its entries (floats or decimals): four entries once the interior is
+    zeros of one sign, which it then stays, or if ``row`` is kept as four
+    already; else all ``width - 1``."""
+    first, last = row[0], row[-1]
+    if len(row) < width or _uniform_zero_interior(row):
+        zero, penultimate = row[1], row[-2]
+        return (last * zero - penultimate * first, last * zero - zero * first,
+                last * penultimate - zero * first, last * last - first * first)
+    return tuple([last * row[k + 1] - row[width - 2 - k] * first for k in range(width - 1)])
 
 
 def _uniform_zero_interior(row: tuple[float, ...]) -> bool:
@@ -224,12 +236,10 @@ def jury_conditions(table: JuryTable,
     2 on, the three of the input row and one per reduced row. ``readings``
     are the table's readings where a verdict already made them (see
     :attr:`StabilityVerdict.readings`); else the table is read here."""
-    terms = list(_condition_terms(table))
-    # settled up to the first failure; the rest as read
-    readings = list(_readings(table) if readings is None else readings)
-    readings += [_read(margin, rounding) for _, _, margin, rounding in terms[len(readings):]]
+    readings = _readings(table) if readings is None else readings
+    terms = zip(_condition_terms(table), readings)
     return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
-            for index, ((lhs, rhs, margin, _), reading) in enumerate(zip(terms, readings), start=1)]
+            for index, ((lhs, rhs, margin, _), reading) in enumerate(terms, start=1)]
 
 
 _INPUT_ROW_TESTS = ("P(1) > 0", "(-1)^m P(-1) > 0", "|a_m| < a_0")
@@ -275,21 +285,18 @@ def _read(margin, bound) -> bool | None:
 
 
 def _readings(table: JuryTable) -> list[bool | None]:
-    """The conditions of ``table`` read against their rounding estimates,
-    up to the first that fails. Where none fails but one is within its
-    estimate, its sign is noise, and all are read in decimal arithmetic."""
-    readings = []
-    for _, _, margin, rounding in _condition_terms(table):
-        readings.append(_read(margin, rounding))
-        if readings[-1] is False:
-            return readings
-    return _precise_readings(table) if None in readings else readings
+    """Every condition of ``table`` read against its rounding estimate.
+    Where none fails but one is within its estimate, its sign is noise,
+    and all are read in decimal arithmetic."""
+    readings = [_read(margin, rounding) for _, _, margin, rounding in _condition_terms(table)]
+    return _precise_readings(table) if None in readings and False not in readings else readings
 
 
 def _precise_readings(table: JuryTable) -> list[bool | None]:
     """The conditions of ``table`` from its unrounded input row, reduced
-    at ``_PRECISE_DIGITS`` digits, each row scaled by a power of ten; None
-    only for a boundary evaluation within its rounding bound even so."""
+    by :func:`_reduced` at ``_PRECISE_DIGITS`` digits, each row scaled by a
+    power of ten; None only for a boundary evaluation within its rounding
+    bound even so."""
     from decimal import Decimal, localcontext  # imported only when needed
     with localcontext() as context:
         context.prec = _PRECISE_DIGITS
@@ -299,11 +306,7 @@ def _precise_readings(table: JuryTable) -> list[bool | None]:
         margins = [(sum(row), bound), (sum(row[::2]) - sum(row[1::2]), bound),
                    (row[0] - abs(row[m]), 0)][:m + 1]  # degree 1: no |a_m| < a_0
         for width in range(len(row), 3, -1):
-            first, last = row[0], row[-1]
-            if any(row[1:-2]):
-                row = [last * row[k + 1] - row[-2 - k] * first for k in range(width - 1)]
-            else:  # the interior stays zero, as in jury_table
-                row = [-row[-2] * first, row[1], last * row[-2], last * last - first * first]
+            row = _reduced(row, width)
             exponent = max((c.adjusted() for c in row if c), default=0)
             row = [c.scaleb(-exponent) for c in row]
             margins.append((abs(row[-1]) - abs(row[0]), 0))
@@ -346,25 +349,21 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     return StabilityVerdict(MARGINAL, unmet, JURY, table=inner, readings=tuple(held))
 
 
-class StableReading(tuple):
-    """The pair ``(holds, method)`` that :func:`is_stable` returns, carrying
-    ``guide``: the margin of its table's last condition over the size of
-    that condition's operands, or None where the oracle decided. ``guide``
-    takes no part in equality or unpacking, so a reading equals its pair.
-    """
+class StableReading(NamedTuple):
+    """What :func:`is_stable` returns: whether the table reads stable, the
+    method that decided, and ``guide``, the margin of the table's last
+    condition over the size of that condition's operands (see
+    :func:`_guide`), NaN where the oracle decided."""
 
-    guide: float | None
-
-    def __new__(cls, holds: bool, method: str, guide: float | None = None) -> StableReading:
-        reading = super().__new__(cls, (holds, method))
-        reading.guide = guide
-        return reading
+    holds: bool
+    method: str
+    guide: float = math.nan
 
 
 def is_stable(p: Polynomial) -> StableReading:
     """Whether :func:`jury_verdict`'s first table reads ``p`` stable, and
     the method that decided: JURY, or ORACLE where that table is singular.
-    A JURY reading's ``guide`` comes from the same table (see :func:`_guide`).
+    A JURY reading's ``guide`` comes from the same table.
     """
     try:
         table = jury_table(p, INNER_RADIUS)

@@ -4,10 +4,11 @@ For each delay the non-trivial fixed point is stable on an open interval
 (0, f(tau)) of the reproduction rate. f is located by shrinking a bracket
 whose ends the predicate "stable?" decides; the predicate runs only the
 inner-radius table of :mod:`jury` (the root oracle where that table is
-singular). The same table gives a guide: the margin of its last
-condition, which at every delay is the one that fails at f, so a
-false-position step on it picks most trial rates, and a midpoint step
-takes over wherever the guide and the verdicts disagree. A rate in the
+singular), and its reading is ``(holds, method, guide)``. The guide comes
+from the same table: the margin of its last condition, which at every
+delay is the one that fails at f, so a false-position step on it picks
+most trial rates, and a midpoint step takes over wherever the guide and
+the verdicts disagree or the oracle gave a NaN guide. A rate in the
 marginal band is not stable, so the threshold found is the band's lower
 edge, about 2.2e-12 below f(tau) at every delay.
 
@@ -19,7 +20,6 @@ delay 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .delay_map import NONTRIVIAL, char_poly
@@ -63,8 +63,8 @@ class BoundaryTable:
 def is_stable_nontrivial(tau: int, r: float) -> StableReading:
     """Whether the capacity point at ``tau``, ``r`` is stable, and the
     method that decided: "jury", or "oracle" where the table is singular.
-    A "jury" reading carries its table's guide (see
-    :class:`jury.StableReading`).
+    A "jury" reading carries its table's guide, an "oracle" reading NaN
+    (see :class:`jury.StableReading`).
     """
     return is_stable(char_poly(tau, r, NONTRIVIAL))
 
@@ -108,11 +108,9 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
         """The verdict at ``r`` and its guide, NaN where there is none."""
         nonlocal tables
         tables += 1
-        reading = is_stable_nontrivial(tau, r)
-        holds, method = reading
+        holds, method, guide = is_stable_nontrivial(tau, r)
         methods_used.add(method)
-        guide = getattr(reading, "guide", None)  # a bare (holds, method) pair has none
-        return holds, math.nan if guide is None else guide
+        return holds, guide
 
     r = seed
     rising, guide = read(r)

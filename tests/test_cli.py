@@ -309,6 +309,19 @@ def test_stability_reads_marginal_just_past_a_deep_threshold(capsys):
     assert payload["conditions"][1001]["satisfied"] is False
 
 
+def test_jury_records_past_the_first_failure_are_read_in_doubles(capsys):
+    # the outer table fails its first condition, so no record is read again
+    # in decimal arithmetic, and the last one, whose margin is within its
+    # rounding estimate, stays null though it is no boundary evaluation
+    code, out, err = _run(capsys, ["jury", "--coeffs", "1,-3,2,-6,1,-3"])
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert payload["verdict"] == {"status": "unstable", "witness": 1, "method": "jury"}
+    assert [c["satisfied"] for c in payload["conditions"]] == [
+        False, True, False, False, True, None]
+    assert payload["conditions"][5]["description"] == "|last| > |first| on reduced row 3"
+
+
 def test_jury_at_the_largest_doubles_reads_marginal(capsys):
     # the input row is brought into range before the radius scales it, so
     # nothing overflows; the root is -1

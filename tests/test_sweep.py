@@ -42,7 +42,7 @@ def _jury_nontrivial(tau, r):
 
 def _oracle_is_stable(p):
     """``jury.is_stable`` answered by the root oracle alone."""
-    return oracle_verdict(p).status == STABLE, ORACLE
+    return StableReading(oracle_verdict(p).status == STABLE, ORACLE)
 
 
 def _record_reads(monkeypatch):
@@ -75,10 +75,10 @@ REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 
 def test_is_stable_examples():
-    assert is_stable_nontrivial(1, 0.5) == (True, JURY)
+    assert is_stable_nontrivial(1, 0.5)[:2] == (True, JURY)
     assert _jury_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
     for tau, r in [(2, 0.7), (0, 2.5)]:
-        assert is_stable_nontrivial(tau, r) == (False, JURY)
+        assert is_stable_nontrivial(tau, r)[:2] == (False, JURY)
         assert _jury_nontrivial(tau, r).status == UNSTABLE
 
 
@@ -88,10 +88,10 @@ def test_is_stable_rejects_a_non_finite_rate():
 
 
 def test_stable_range_is_open_at_zero():
-    assert is_stable_nontrivial(2, -1e-3) == (False, JURY)
+    assert is_stable_nontrivial(2, -1e-3)[:2] == (False, JURY)
     assert _jury_nontrivial(2, -1e-3).status == UNSTABLE
     assert _oracle_nontrivial(2, -1e-3).status == UNSTABLE
-    assert is_stable_nontrivial(2, 0.0) == (False, ORACLE)  # a zero pivot
+    assert is_stable_nontrivial(2, 0.0)[:2] == (False, ORACLE)  # a zero pivot
     assert _jury_nontrivial(2, 0.0).status == MARGINAL
     assert _oracle_nontrivial(2, 0.0).status == MARGINAL
 
@@ -136,8 +136,8 @@ def test_methods_agree_on_the_threshold(monkeypatch, tau):
 @pytest.mark.parametrize("tau", [0, 1, 2, 3, 6, 10])
 def test_threshold_is_sharp(tau):
     threshold = critical_r(tau).r_critical
-    assert is_stable_nontrivial(tau, threshold - 1e-6) == (True, JURY)
-    assert is_stable_nontrivial(tau, threshold + 1e-6) == (False, JURY)
+    assert is_stable_nontrivial(tau, threshold - 1e-6)[:2] == (True, JURY)
+    assert is_stable_nontrivial(tau, threshold + 1e-6)[:2] == (False, JURY)
     assert _jury_nontrivial(tau, threshold + 1e-6).status == UNSTABLE
 
 
@@ -177,7 +177,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 
         def verdict(tau, r, stable=stable, seen=seen):
             seen.append(r)
-            return stable, JURY
+            return StableReading(stable, JURY)
 
         monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
         with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
@@ -189,7 +189,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 @pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
 def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
     r = fraction * _candidate_threshold(tau)
-    assert is_stable_nontrivial(tau, r) == (expected == STABLE, JURY)
+    assert is_stable_nontrivial(tau, r)[:2] == (expected == STABLE, JURY)
     verdict = _jury_nontrivial(tau, r)
     assert verdict.method == JURY
     assert verdict.status == expected
@@ -262,11 +262,11 @@ def test_critical_r_rejects_a_non_positive_seed_or_step():
 @pytest.mark.parametrize("tau", [0, 2, 17])
 def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
     def without_guide(p):
-        holds, method = is_stable(p)
-        return holds, method
+        holds, method, _ = is_stable(p)
+        return StableReading(holds, method)
 
     def misled(p):
-        holds, method = is_stable(p)
+        holds, method, _ = is_stable(p)
         return StableReading(holds, method, guide(holds))
 
     monkeypatch.setattr(sweep, "is_stable", without_guide)
@@ -281,10 +281,10 @@ def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
 def test_is_stable_reading_carries_the_guide():
     p = char_poly(5, 0.2, NONTRIVIAL)
     reading = is_stable(p)
-    assert reading == (True, JURY) and 0.0 < reading.guide <= 1.0
+    assert reading[:2] == (True, JURY) and 0.0 < reading.guide <= 1.0
     assert is_stable(char_poly(5, 0.3, NONTRIVIAL)).guide < 0.0
     assert is_stable(char_poly(0, 1.5, NONTRIVIAL)).guide == pytest.approx(0.5 / 1.5)
-    assert is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide is None  # the oracle decided
+    assert math.isnan(is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide)  # the oracle decided
 
 
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):

@@ -141,7 +141,7 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
-        conditions = jury.jury_conditions(verdict.table, verdict.readings)
+        conditions = jury.jury_conditions(verdict.table)
         return {"radius": verdict.table.radius,
                 "conditions": [c._asdict() for c in conditions]}
     payload: dict = {}

@@ -14,8 +14,8 @@ homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
 power of two. Once a row's interior is zeros of one sign, every later row
 is too and is kept as its four distinct entries, bit for bit what the
 full reduction holds, so the delay family's table costs O(degree). One
-row step, :func:`_reduced`, reduces the rows of both arithmetics the
-conditions are read in, doubles and decimals.
+row step, :func:`_reduced`, and one condition generator,
+:func:`_condition_terms`, serve both arithmetics, doubles and decimals.
 
 One unit-circle rule decides every verdict: a root modulus within
 MARGIN_TOL of 1 is marginal. The root-modulus oracle applies it through
@@ -24,12 +24,13 @@ radius of ``p`` is below ``s`` exactly when ``p(s z)`` has every root
 inside the unit circle. The verdict runs the table of
 ``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
-condition fails, else ``marginal``. Every condition of a table is read in
-one pass. A condition whose margin lies within its rounding estimate is
-neither; if no condition fails, the conditions are read again in decimal
-arithmetic, which leaves undecided only the boundary evaluation of a root
-of high multiplicity at 1 or -1. Where one fails, the rest stay as read in
-doubles, so any of them may be undecided.
+condition fails, else ``marginal``. :func:`jury_table` reads every
+condition once and keeps the readings. A condition whose margin lies
+within its rounding estimate is neither; if no condition fails, all are
+read again at 60 decimal digits, which leaves undecided only a margin
+within that arithmetic's estimate, such as the boundary evaluation of a
+root of high multiplicity at 1 or -1. Where one fails, the rest stay as
+read in doubles, so any of them may be undecided.
 
 The oracle also stands in where a table is singular (a zero pivot, such
 as the constant term of the all-zero fixed point's polynomial).
@@ -79,18 +80,19 @@ class SingularTableError(RuntimeError):
 class JuryTable:
     """Reduction rows of ``p(radius * z)``, kept as their live entries.
 
-    ``live[i]`` is row ``i``, ``live[0]`` the input row: ``coeffs``, the
-    coefficients of ``p`` brought into range, scaled by the radius. A row
-    whose interior is zeros of one sign is kept as ``(first, zero,
-    penultimate, last)``; :attr:`rows` writes every row out in full.
-    ``shifts[i]`` is the exponent of the power of two that row ``i`` was
-    multiplied by, 0 for every row that stayed within [2**-256, 2**256].
+    ``live[i]`` is row ``i``, ``live[0]`` the input row: the coefficients
+    of ``p`` brought into range, scaled by the radius. A row whose interior
+    is zeros of one sign is kept as ``(first, zero, penultimate, last)``;
+    :attr:`rows` writes every row out in full. ``shifts[i]`` is the
+    exponent of the power of two that row ``i`` was multiplied by, 0 for
+    every row that stayed within [2**-256, 2**256]. ``readings[i]`` is
+    condition ``i + 1`` as read off the table (see :class:`ConditionResult`).
     """
 
     live: tuple[tuple[float, ...], ...]
     shifts: tuple[int, ...]
     radius: float
-    coeffs: tuple[float, ...]
+    readings: tuple[bool | None, ...]
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -108,13 +110,12 @@ class JuryTable:
 class ConditionResult(NamedTuple):
     """One strict inequality, 1-indexed, with its signed slack in doubles.
 
-    ``satisfied`` is True if it holds, False if it fails, and None where
-    its margin is within its rounding estimate. Where no condition of the
-    table fails but one is within its estimate, all are read in decimal
-    arithmetic, which leaves None only for a boundary evaluation within
-    Horner's bound; where one fails, the others stay as read in doubles,
-    so any of them may be None. Its ``_asdict()`` is the condition record
-    of the payloads.
+    ``satisfied`` is the table's reading: True if it holds, False if it
+    fails, None where its margin is within its rounding estimate. Where
+    none fails but one is within, all are read at 60 decimal digits, which
+    leaves None only within that arithmetic's estimate; where one fails,
+    the others stay as read in doubles. Its ``_asdict()`` is the condition
+    record of the payloads.
     """
 
     index: int
@@ -136,9 +137,7 @@ class StabilityVerdict:
     fails at the outer radius (unstable) or does not hold at the inner one
     (marginal). An ORACLE witness is the spectral radius, with the
     ``root_set`` and, where it stood in for a singular table, the
-    ``reason``. A JURY verdict's ``readings`` are every condition of its
-    table as the verdict read them, for :func:`jury_conditions`. The
-    evidence fields do not take part in equality.
+    ``reason``. The evidence fields do not take part in equality.
     """
 
     status: str
@@ -147,7 +146,6 @@ class StabilityVerdict:
     table: JuryTable | None = field(default=None, compare=False)
     root_set: RootSet | None = field(default=None, compare=False)
     reason: str | None = field(default=None, compare=False)
-    readings: tuple[bool | None, ...] | None = field(default=None, compare=False)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
@@ -157,7 +155,8 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     coefficient ``k`` times ``radius**(m - k)``, which leaves a signed zero
     as it is. For a row ``(a_0, ..., a_m)`` the successor entries are
     ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``, four products
-    once the interior is one signed zero. Raises :class:`SingularTableError`
+    once the interior is one signed zero. Every condition is read here,
+    once, into :attr:`JuryTable.readings`. Raises :class:`SingularTableError`
     if a row that still needs reduction has a last entry within 1e-12 of
     zero relative to the input's largest coefficient (input row) or to
     ``a_m**2 + a_0**2`` of the row it was reduced from, and ``ValueError``
@@ -182,7 +181,11 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
         scale = math.ldexp(last * last + first * first, shift)
         live.append(row)
         shifts.append(shift)
-    return JuryTable(tuple(live), tuple(shifts), radius, coeffs)
+    readings = _readings(live, _UNIT_ROUNDOFF)
+    # within its estimate a sign is noise: where none fails, read all again
+    if None in readings and False not in readings:
+        readings = _precise_readings(coeffs, radius)
+    return JuryTable(tuple(live), tuple(shifts), radius, readings)
 
 
 def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
@@ -230,14 +233,11 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
-def jury_conditions(table: JuryTable,
-                    readings: tuple[bool | None, ...] | None = None) -> list[ConditionResult]:
-    """The ``degree + 1`` stability inequalities of ``table``: from degree
-    2 on, the three of the input row and one per reduced row. ``readings``
-    are the table's readings where a verdict already made them (see
-    :attr:`StabilityVerdict.readings`); else the table is read here."""
-    readings = _readings(table) if readings is None else readings
-    terms = zip(_condition_terms(table), readings)
+def jury_conditions(table: JuryTable) -> list[ConditionResult]:
+    """The ``degree + 1`` stability inequalities of ``table``, with the
+    readings it carries: from degree 2 on, the three of the input row and
+    one per reduced row."""
+    terms = zip(_condition_terms(table.live, _UNIT_ROUNDOFF), table.readings)
     return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
             for index, ((lhs, rhs, margin, _), reading) in enumerate(terms, start=1)]
 
@@ -251,66 +251,66 @@ def _describe(index: int) -> str:
     return f"|last| > |first| on reduced row {index - len(_INPUT_ROW_TESTS)}"
 
 
-def _condition_terms(table: JuryTable) -> Iterator[tuple[float, float, float, float]]:
-    """``(lhs, rhs, margin, rounding)`` of each condition, in index order.
+def _condition_terms(rows, unit) -> Iterator[tuple]:
+    """``(lhs, rhs, margin, rounding)`` of each condition of ``rows``, in
+    index order and in the arithmetic of their entries, whose unit
+    roundoff is ``unit``.
 
     ``rounding`` estimates the error in ``margin``: Horner's bound
-    ``2m u sum |a_i|`` (u = 2**-53) for the boundary evaluations, else
+    ``2m u sum |a_i|`` for the boundary evaluations, else
     ``2m**2 u (lhs + rhs)`` (a ratio of a row's entries gathers the errors
     of every row before it) times the growth ``(l**2 + f**2) / |l**2 - f**2|``
     of each reduction so far, from its row's first and last entries.
     """
-    top = previous = table.live[0]
+    top = previous = rows[0]
     m = len(top) - 1
-    horner = 2 * m * _UNIT_ROUNDOFF * sum(map(abs, top))
-    rounding = 2 * m * m * _UNIT_ROUNDOFF
-    value_at_one = evaluate(top, 1.0)
+    horner = 2 * m * unit * sum(map(abs, top))
+    rounding = 2 * m * m * unit
+    one = type(unit)(1)  # 1 in the rows' arithmetic: float Horner at an int z is slower
+    value_at_one = evaluate(top, one)
     yield value_at_one, 0.0, value_at_one, horner
-    alternating = (-1.0) ** m * evaluate(top, -1.0)
+    alternating = (-one) ** m * evaluate(top, -one)
     yield alternating, 0.0, alternating, horner
     if m >= 2:
         yield abs(top[m]), top[0], top[0] - abs(top[m]), rounding * (abs(top[m]) + top[0])
-    for row in table.live[1:]:
-        f, l = previous[0], previous[-1]
-        cancelled = abs(l * l - f * f)
-        rounding = rounding * (l * l + f * f) / cancelled if cancelled else math.inf
+    for row in rows[1:]:
+        f2, l2 = previous[0] * previous[0], previous[-1] * previous[-1]
+        cancelled = abs(l2 - f2)
+        rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
         first, last = abs(row[0]), abs(row[-1])
         yield last, first, last - first, rounding * (last + first)
         previous = row
 
 
-def _read(margin, bound) -> bool | None:
-    """True if a condition holds, False if it fails, None within ``bound``."""
-    return True if margin > bound else False if margin < -bound else None
+def _readings(rows, unit) -> tuple[bool | None, ...]:
+    """Every condition of ``rows``: True if it holds, False if it fails,
+    None where its margin is within its rounding estimate."""
+    return tuple([True if margin > rounding else False if margin < -rounding else None
+                  for _, _, margin, rounding in _condition_terms(rows, unit)])
 
 
-def _readings(table: JuryTable) -> list[bool | None]:
-    """Every condition of ``table`` read against its rounding estimate.
-    Where none fails but one is within its estimate, its sign is noise,
-    and all are read in decimal arithmetic."""
-    readings = [_read(margin, rounding) for _, _, margin, rounding in _condition_terms(table)]
-    return _precise_readings(table) if None in readings and False not in readings else readings
-
-
-def _precise_readings(table: JuryTable) -> list[bool | None]:
-    """The conditions of ``table`` from its unrounded input row, reduced
-    by :func:`_reduced` at ``_PRECISE_DIGITS`` digits, each row scaled by a
-    power of ten; None only for a boundary evaluation within its rounding
-    bound even so."""
-    from decimal import Decimal, localcontext  # imported only when needed
+def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[bool | None, ...]:
+    """The conditions of the table of ``coeffs`` at ``radius`` read at
+    ``_PRECISE_DIGITS`` digits (unit roundoff ``10**(1 - digits)``), from
+    the unrounded input row, built with one running product of the radius."""
+    from decimal import Decimal, InvalidOperation, localcontext  # imported only when needed
     with localcontext() as context:
         context.prec = _PRECISE_DIGITS
-        radius, m = Decimal(table.radius), len(table.coeffs) - 1
-        row = [Decimal(c) * radius ** (m - k) for k, c in enumerate(table.coeffs)]
-        bound = 2 * m * Decimal(10) ** (1 - _PRECISE_DIGITS) * sum(map(abs, row))
-        margins = [(sum(row), bound), (sum(row[::2]) - sum(row[1::2]), bound),
-                   (row[0] - abs(row[m]), 0)][:m + 1]  # degree 1: no |a_m| < a_0
+        # an infinite estimate times a zero reads NaN, so undecided, as in doubles
+        context.traps[InvalidOperation] = False
+        row, power, radius = [Decimal(c) for c in coeffs], Decimal(1), Decimal(radius)
+        for k in reversed(range(len(row))):
+            row[k] *= power
+            power *= radius
+        rows = [row]
         for width in range(len(row), 3, -1):
             row = _reduced(row, width)
-            exponent = max((c.adjusted() for c in row if c), default=0)
-            row = [c.scaleb(-exponent) for c in row]
-            margins.append((abs(row[-1]) - abs(row[0]), 0))
-        return [_read(*term) for term in margins]
+            # a row within 10**-+1000 stays in range (10**-+999999) when squared
+            exponent = max(map(abs, row)).adjusted()
+            if not -1000 <= exponent <= 1000:
+                row = [c.scaleb(-exponent) for c in row]
+            rows.append(row)
+        return _readings(rows, Decimal(10) ** (1 - _PRECISE_DIGITS))
 
 
 def classify_modulus(modulus: float) -> str:
@@ -335,18 +335,15 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     """
     try:
         inner = jury_table(p, INNER_RADIUS)
-        held = _readings(inner)
-        if all(held):
-            return StabilityVerdict(STABLE, None, JURY, table=inner, readings=tuple(held))
+        if all(inner.readings):
+            return StabilityVerdict(STABLE, None, JURY, table=inner)
         outer = jury_table(p, OUTER_RADIUS)
     except SingularTableError as exc:
         return replace(oracle_verdict(p), reason=str(exc))
-    failed = _readings(outer)
-    if False in failed:
-        return StabilityVerdict(UNSTABLE, failed.index(False) + 1, JURY, table=outer,
-                                readings=tuple(failed))
-    unmet = next(index for index, reading in enumerate(held, start=1) if not reading)
-    return StabilityVerdict(MARGINAL, unmet, JURY, table=inner, readings=tuple(held))
+    if False in outer.readings:
+        return StabilityVerdict(UNSTABLE, outer.readings.index(False) + 1, JURY, table=outer)
+    unmet = next(index for index, reading in enumerate(inner.readings, start=1) if not reading)
+    return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
 
 
 class StableReading(NamedTuple):
@@ -369,7 +366,7 @@ def is_stable(p: Polynomial) -> StableReading:
         table = jury_table(p, INNER_RADIUS)
     except SingularTableError:
         return StableReading(oracle_verdict(p).status == STABLE, ORACLE)
-    return StableReading(all(_readings(table)), JURY, _guide(table))
+    return StableReading(all(table.readings), JURY, _guide(table))
 
 
 def _guide(table: JuryTable) -> float:

@@ -64,9 +64,9 @@ def evaluate(coeffs: Sequence[float], z: complex) -> complex:
     """Evaluate the polynomial with coefficients ``coeffs`` (descending
     powers) at ``z`` by Horner's rule.
 
-    Returns a float when ``z`` is real, complex otherwise.
+    Returns a float, complex or ``Decimal``: the arithmetic of its operands.
     """
-    acc = 0.0
+    acc = 0
     for c in coeffs:
         acc = acc * z + c
     return acc

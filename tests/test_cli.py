@@ -534,7 +534,9 @@ def test_table_decided_commands_start_without_numpy(capsys):
     assert proc.stdout == out
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "delaylogistic.jury" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    # its table reads in doubles alone, so the decimal re-read's import stays out
+    assert [name for name in imported
+            if name.split(".")[0] in ("numpy", "decimal", "_decimal", "_pydecimal")] == []
 
 
 def _count_calls(monkeypatch, names):
@@ -586,12 +588,15 @@ def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
 ], ids=["jury-stable", "jury-unstable", "jury-marginal", "stability-stable",
         "stability-unstable", "stability-marginal"])
 def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, tables):
-    # the condition records reuse the readings the verdict made
-    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_readings")])
+    # each table reads its conditions in doubles once, where it is built,
+    # and the condition records reuse those readings; a decimal re-read
+    # reads them once more
+    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_readings"),
+                                        (jury, "_precise_readings")])
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["verdict"]["method"] == "jury"
-    assert counts["jury_table"] == counts["_readings"] == tables
+    assert counts["jury_table"] == counts["_readings"] - counts["_precise_readings"] == tables
 
 
 def test_jury_degenerate_polynomial_is_numeric_failure(capsys):

@@ -6,8 +6,10 @@ from dataclasses import replace
 import mpmath
 import pytest
 
+from delaylogistic import jury
 from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, char_poly
 from delaylogistic.jury import (
+    _UNIT_ROUNDOFF,
     INNER_RADIUS,
     MARGINAL,
     OUTER_RADIUS,
@@ -15,16 +17,16 @@ from delaylogistic.jury import (
     UNSTABLE,
     SingularTableError,
     StabilityVerdict,
-    _condition_terms,
+    _in_range,
     _precise_readings,
-    _read,
+    _readings,
     is_stable,
     jury_conditions,
     jury_table,
     jury_verdict,
     oracle_verdict,
 )
-from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial
+from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial, normalize_leading
 from sparse_rows import bits, delay_table, dense_tables, induction_mismatches
 
 
@@ -69,6 +71,13 @@ def test_table_singular_when_intermediate_row_ends_near_zero():
     #   -> (-0.28125, 0, 0.28125, 0); the trailing zero blocks the next cut
     with pytest.raises(SingularTableError):
         jury_table(Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5)))
+
+
+def test_decimal_reread_of_an_exact_cancellation_reads_undecided():
+    # (z - 1)^2 (z + 1) at radius 1: in decimal |last| = |first| on the
+    # input row, so the next estimate is infinite and meets a zero margin
+    table = jury_table(Polynomial((1.0, -1.0, -1.0, 1.0)))
+    assert table.readings == (None, None, None, None)
 
 
 def test_rows_recomputable_from_their_predecessor():
@@ -156,7 +165,9 @@ def test_conditions_all_satisfied_inside_the_stable_range():
 
 
 def test_conditions_reduced_row_failure_outside_the_range():
-    conditions = jury_conditions(jury_table(Polynomial((1.0, -1.0, 0.0, 0.7))))
+    table = jury_table(Polynomial((1.0, -1.0, 0.0, 0.7)))
+    assert table.readings == (True, True, True, False)  # read where it is built
+    conditions = jury_conditions(table)
     last = conditions[3]
     assert last.index == 4
     assert last.lhs == pytest.approx(abs(0.7 ** 2 - 1.0))
@@ -481,8 +492,8 @@ def _verdict_from_the_records(p: Polynomial):
 
 def _statuses_following_the_records(polys) -> dict[str, int]:
     """Assert that every verdict on ``polys`` follows its records, and that
-    the readings it carries give the records a fresh read gives; count the
-    statuses (and the singular tables, as "oracle")."""
+    its table gives the records a fresh table gives; count the statuses
+    (and the singular tables, as "oracle")."""
     seen = {STABLE: 0, UNSTABLE: 0, MARGINAL: 0, "oracle": 0}
     for p in polys:
         expected = _verdict_from_the_records(p)
@@ -494,7 +505,7 @@ def _statuses_following_the_records(polys) -> dict[str, int]:
             status, witness, records = expected
             assert (verdict.status, verdict.witness, verdict.method) == (
                 status, witness, "jury"), p.coeffs
-            assert jury_conditions(verdict.table, verdict.readings) == records, p.coeffs
+            assert jury_conditions(verdict.table) == records, p.coeffs
             seen[verdict.status] += 1
     return seen
 
@@ -533,20 +544,27 @@ def _random_polynomials(rng: random.Random) -> list[Polynomial]:
             for _ in range(1000)]
 
 
-def test_verdict_follows_the_records_on_random_polynomials():
-    rng = random.Random(1307)
-    polys = _random_polynomials(rng)
-    # roots on the unit circle put conditions inside their band: a root at
-    # 1 the first, at -1 the second, a pair at angle theta a reduced row's.
-    # A random factor's roots outside the circle then fail a later
-    # condition, which must win; roots at both 1 and -1 leave two
-    # conditions in their band, and the first must be the witness.
+def _unit_circle_products(rng: random.Random) -> list[Polynomial]:
+    """600 products of a random factor of degree 0..6 with a root at 1,
+    roots at 1 and -1, or a pair at a random angle on the unit circle."""
+    polys = []
     for _ in range(600):
         theta = rng.uniform(0.1, 3.0)
         boundary = rng.choice([(1.0, -1.0), (1.0, 0.0, -1.0),
                                (1.0, -2.0 * math.cos(theta), 1.0)])
         factor = [1.0] + [rng.uniform(-1.5, 1.5) for _ in range(rng.randint(0, 6))]
         polys.append(Polynomial(_times(factor, boundary)))
+    return polys
+
+
+def test_verdict_follows_the_records_on_random_polynomials():
+    rng = random.Random(1307)
+    # roots on the unit circle put conditions inside their band: a root at
+    # 1 the first, at -1 the second, a pair at angle theta a reduced row's.
+    # A random factor's roots outside the circle then fail a later
+    # condition, which must win; roots at both 1 and -1 leave two
+    # conditions in their band, and the first must be the witness.
+    polys = _random_polynomials(rng) + _unit_circle_products(rng)
     seen = _statuses_following_the_records(polys)
     assert min(seen[s] for s in (STABLE, UNSTABLE, MARGINAL)) >= 50, seen
 
@@ -568,6 +586,17 @@ def test_verdict_follows_the_records_across_input_scales():
     assert min(seen.values()) >= 10, seen
 
 
+def _input_coeffs(p: Polynomial) -> tuple[float, ...]:
+    """The coefficients the table of ``p`` starts from, brought into range."""
+    return _in_range(normalize_leading(p).coeffs)[0]
+
+
+def _reread(doubles) -> bool:
+    """Whether jury_table re-reads in decimal a table whose double
+    readings are ``doubles``."""
+    return None in doubles and False not in doubles
+
+
 def test_decided_double_readings_agree_with_the_decimal_readings():
     # both arithmetics reduce their rows with one step, in full and as four
     # entries: every condition the doubles decide on the inner-radius table,
@@ -580,8 +609,10 @@ def test_decided_double_readings_agree_with_the_decimal_readings():
             table = jury_table(p, INNER_RADIUS)
         except SingularTableError:
             continue
-        doubles = [_read(margin, rounding) for _, _, margin, rounding in _condition_terms(table)]
-        precise = _precise_readings(table)
+        doubles = _readings(table.live, _UNIT_ROUNDOFF)
+        # where jury_table read the table in decimal, it carries those readings
+        precise = (table.readings if _reread(doubles)
+                   else _precise_readings(_input_coeffs(p), INNER_RADIUS))
         assert len(precise) == len(doubles), p.coeffs
         for index, (double, decimal) in enumerate(zip(doubles, precise), start=1):
             if double is not None:
@@ -590,6 +621,33 @@ def test_decided_double_readings_agree_with_the_decimal_readings():
         full = all(len(row) == len(table.live[0]) - i for i, row in enumerate(table.live))
         seen["full" if full else "four entries"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_decimal_readings_keep_their_decided_signs_at_twice_the_digits(monkeypatch):
+    # the decimal rounding estimate holds: a condition the 60-digit re-read
+    # decides reads the same at 120 digits. At radius 1 the delay family at
+    # f(tau) and the products with a unit-circle factor reach the re-read.
+    polys = [char_poly(tau, fraction * 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1))),
+                       NONTRIVIAL)
+             for tau in range(201) for fraction in (1.0 - 1e-12, 1.0, 1.0 + 1e-12)]
+    polys += _unit_circle_products(random.Random(1307))
+    reread = 0
+    for p in polys:
+        for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
+            try:
+                table = jury_table(p, radius)
+            except SingularTableError:
+                continue
+            if not _reread(_readings(table.live, _UNIT_ROUNDOFF)):
+                continue
+            reread += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(jury, "_PRECISE_DIGITS", 120)
+                finer = _precise_readings(_input_coeffs(p), radius)
+            for index, (sixty, more) in enumerate(zip(table.readings, finer), start=1):
+                if sixty is not None:
+                    assert more == sixty, (p.coeffs, radius, index)
+    assert reread >= 100, reread
 
 
 # Verdicts against a reference that shares no code with the table: the

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -41,6 +42,8 @@ def test_construction_rejects_empty_and_non_finite():
     ((1.0, -1.0, 0.5), 0.0, 0.5),
     ((1.0, -1.0, 0.5), 1.0, 0.5),
     ((1.0, -1.0, 0.0, 0.5), -1.0, -1.5),
+    # decimals stay decimals: in doubles 0.1 + 0.2 + 0.3 is not 0.6
+    ((Decimal("0.1"), Decimal("-0.2"), Decimal("0.3")), -1, Decimal("0.6")),
 ])
 def test_evaluate_by_direct_substitution(coeffs, z, expected):
     assert evaluate(coeffs, z) == expected

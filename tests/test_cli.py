@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -61,11 +62,79 @@ def _run(capsys, argv):
     (["simulate", "--r", "0.005", "--K", "2800", "--tau", "200", "--x0", "1400",
       "--steps", "50000", "--format", "json"],
      "266ff19047b6479d25248b8592716d7dd5c8b29d4999ab1a2c8173e619320e3f"),
+    # the payload shapes below were pinned from the json.dumps(indent=2)
+    # output, before the CLI wrote its documents with its own writer: a
+    # trivial point (singular table: note, root moduli and residual), the
+    # root oracle asked for, a residual that overflows to null, a marginal
+    # verdict from the decimal re-read, and the tables and discretize reports
+    (["stability", "--tau", "3", "--r", "0.5", "--point", "trivial"],
+     "4764271910e11bd23d0abacd5bef71b29bb87f4fb5ea527fa171397acab924e7"),
+    (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial",
+      "--method", "oracle"],
+     "b09f576ed8ede0a222ed89dc9175c053a0363c140f6cd1b2e1bf29dd114d6b9b"),
+    (["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"],
+     "9000ecc2fc87cfdb37bd6c6cb8760e6001df001b329158b46d36701e13f0658b"),
+    (["jury", "--coeffs", "1,0,2,0,1"],
+     "9cf978c542cc48beb39417486ffa0e1f066e1a89100ec2dd5c467ddef71d1618"),
+    (["tables", "--format", "json"],
+     "a8356bed9c13ee93ed28c9fe150555ceab5f830067e15ea73ee1dc17ff03e2bc"),
+    (["discretize", "--scheme", "ratio", "--r", "100", "--h", "1", "--K", "1"],
+     "83fa4d8184f6c1e265e8cef8148b3c739bba5bb5b541b7de6d621a60387b1cc2"),
 ])
 def test_golden_output_bytes(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_EDGE_TEXT = ['"', "\\", "\x00\x1f\x7f\n\t", "caf\u00e9", "\U0001f600", "\ud800", ""]
+_json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from(_EDGE_FLOATS),
+    st.text(), st.sampled_from(_EDGE_TEXT),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(_EDGE_TEXT)), children)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=st.one_of(_json_values, st.lists(st.one_of(st.floats(),
+                                                        st.sampled_from(_EDGE_FLOATS)))))
+def test_json_writer_is_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, 1j, Decimal("0.1"), [0.5, {2.5}],
+                                   {"a": [1.0, Decimal(1)]}])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_documents_do_not_go_through_json_dumps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for argv in (["stability", "--tau", "3", "--r", "0.3", "--point", "nontrivial"],
+                 ["stability", "--tau", "3", "--r", "0.5", "--point", "trivial"],
+                 ["jury", "--coeffs", "1,-1,0,0.5"],
+                 ["boundary", "--tau-max", "3", "--format", "json"],
+                 ["tables", "--format", "json"],
+                 ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--x0", "0.5",
+                  "--steps", "3", "--format", "json"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)
 
 
 def test_boundary_json_reproduces_thresholds(capsys):

@@ -31,10 +31,10 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if len(coeffs) < 1:
             raise ValueError("a polynomial needs at least one coefficient")
-        if any(not math.isfinite(c) for c in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"non-finite coefficient in {coeffs!r}")
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -33,9 +33,9 @@ def _run(capsys, argv):
 # all -0.0; the last simulate run diverges to a nan, printed as null.
 @pytest.mark.parametrize("argv,digest", [
     (["boundary", "--tau-max", "30", "--format", "json"],
-     "c52134139493edf27463fffb14d6c224ba8d34eee5d4b43afef86991d7a4c0c4"),
+     "12c5f3f967426aa4e3b269acd6b43a7cf98ea49fa573d3ecaefedcbf5248289b"),
     (["boundary", "--tau-max", "30", "--format", "csv"],
-     "ab4342839874f8e5aff088d669f9e70004e196332d18f6d1b325e944aeea4d14"),
+     "e822d0a6ec0aeec22c6db4fca6adb5fe793fa2a22187a353f845fa885c79f10c"),
     (["stability", "--tau", "40", "--r", "-0.05", "--point", "nontrivial"],
      "f42e0254d322b08a338d40e51b1d11e3df05db7d8bbbb903b64dd484736e9de4"),
     (["stability", "--tau", "17", "--r", "0.05", "--point", "nontrivial"],

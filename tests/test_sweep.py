@@ -229,6 +229,14 @@ def test_boundary_table_reads_both_ends_of_every_bracket(monkeypatch):
     tables = [point.tables for point in table.points]
     assert max(tables) <= 20
     assert sum(tables) <= 12 * len(tables)
+    assert max(tables) <= 14
+    assert sum(tables) <= 900  # 878 with extrapolated seeds, 1516 without
+
+
+def test_boundary_table_read_count_through_delay_30():
+    tables = [point.tables for point in boundary_table(30).points]
+    assert max(tables) <= 14
+    assert sum(tables) <= 190  # 184 with extrapolated seeds, 279 without
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,6 +284,32 @@ def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
     assert point == bisected  # midpoint steps only, the same rates read
     assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9
     assert point.tables > 30
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda guide: guide**9,  # flat near f
+    lambda guide: math.copysign(0.5, guide),  # the two latest often equal
+], ids=["flat", "signs-only"])
+@pytest.mark.parametrize("tau", [0, 2, 17, 60])
+def test_a_right_signed_guide_is_safeguarded_by_bisection(monkeypatch, tau, reshape):
+    # on the flat guide, Illinois false position took 6 to 8 times the
+    # reads of bisection and a secant without the safeguard far more; the
+    # signs-only guide gives the two latest trials equal guides
+    def without_guide(p):
+        holds, method, _ = is_stable(p)
+        return StableReading(holds, method)
+
+    def reshaped(p):
+        holds, method, guide = is_stable(p)
+        return StableReading(holds, method, reshape(guide))
+
+    monkeypatch.setattr(sweep, "is_stable", without_guide)
+    bisected = critical_r(tau)
+    monkeypatch.setattr(sweep, "is_stable", reshaped)
+    point = critical_r(tau)
+    assert abs(point.r_critical - bisected.r_critical) <= sweep.DEFAULT_TOL
+    assert point.bracket_width <= sweep.DEFAULT_TOL
+    assert point.tables <= 2.5 * bisected.tables
 
 
 def test_is_stable_reading_carries_the_guide():

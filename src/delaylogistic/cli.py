@@ -7,8 +7,9 @@ error (also an ``--out`` path that cannot be written), 2 numeric failure
 ``r * h`` that overflows in ``discretize``).
 
 The argument parser is built once per process, at import, and `run` keeps
-no state between calls: each call sees only its own argv, so a process may
-call it any number of times.
+no state between calls, so a process may call it any number of times. An
+argv that starts with a command name is parsed by that command's parser
+alone, as the top parser would hand it on.
 
 Every JSON document is written by `_json`, byte for byte what
 ``json.dumps(value, indent=2)`` writes. json's own indenting encoder is
@@ -126,12 +127,25 @@ def _build_parser() -> _Parser:
     # appended last so that it stays at the end of every usage line
     for command in sub.choices.values():
         command.add_argument("--out", metavar="PATH", default=None)
+    parser.commands = sub.choices  # type: ignore[attr-defined]
     return parser
 
 
 # argparse keeps nothing from one parse to the next (each parse fills a new
 # namespace, and no default is mutable), so one parser serves every call
 _PARSER = _build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, by the named command's parser alone."""
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    # the top parser, which words the error for a word left over
+    return _PARSER.parse_args(argv)
 
 
 # json's spellings of the non-finite floats, keyed by float.__repr__
@@ -144,6 +158,9 @@ def _json(value, pad: str = "\n") -> str:
     writes, where `pad` is the newline and indent of the line the value
     starts on. Dict keys must be str; a value of a type json would refuse
     raises TypeError.
+
+    Each scalar and float list is one C-level call. A `json.JSONEncoder`
+    call per container of scalars measured slower: its setup outweighs so few items.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -191,9 +208,8 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
-        conditions = jury.jury_conditions(verdict.table)
         return {"radius": verdict.table.radius,
-                "conditions": [c._asdict() for c in conditions]}
+                "conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
     payload: dict = {}
     if verdict.reason is not None:
         payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
@@ -265,7 +281,7 @@ def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
     payload: dict = {
         "tau": args.tau, "r": args.r, "point": args.point,
         "requested_method": args.method,
-        "char_poly": list(p.coeffs),
+        "char_poly": p.coeffs,
         "verdict": _verdict_payload(verdict),
     }
     payload.update(_evidence_payload(verdict))
@@ -311,13 +327,13 @@ def _cmd_jury(args: argparse.Namespace) -> dict | list[str]:
     normalized = polynomial.normalize_leading(p)
     verdict = jury.jury_verdict(normalized)
     payload: dict = {
-        "coeffs": list(p.coeffs),
-        "normalized_coeffs": list(normalized.coeffs),
+        "coeffs": p.coeffs,
+        "normalized_coeffs": normalized.coeffs,
         "verdict": _verdict_payload(verdict),
     }
     table = verdict.table  # None when the table was singular
-    payload["table_rows"] = None if table is None else [list(row) for row in table.rows]
-    payload["table_shifts"] = None if table is None else list(table.shifts)
+    payload["table_rows"] = None if table is None else table.rows
+    payload["table_shifts"] = None if table is None else table.shifts
     payload.update(_evidence_payload(verdict))
     return payload
 
@@ -358,7 +374,7 @@ _NUMERIC_ERRORS = (
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
         result = _COMMANDS[args.command](args)
     except SystemExit:  # -h/--help has printed the help; bad usage raises UsageError
         return 0

@@ -10,14 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .delay_map import _advance
 from .jury import StabilityVerdict, classify_modulus
 
 FORWARD = "forward"
 RATIO = "ratio"
-
-# The ratio map's denominator counts as zero within this band.
-_TOL = 1e-12
 
 
 class PoleError(ZeroDivisionError):
@@ -43,26 +39,6 @@ class SchemeParams:
             raise ValueError(f"r * h overflows: r={self.r!r}, h={self.h!r}")
         if self.scheme not in (FORWARD, RATIO):
             raise ValueError(f"scheme must be {FORWARD!r} or {RATIO!r}, got {self.scheme!r}")
-
-
-def scheme_step(p: SchemeParams, x: float) -> float:
-    """One step of the scheme that ``p.scheme`` names.
-
-    Forward: the explicit update (rh+1)x - (rh/K)x^2. This is the delay
-    map's update at zero delay with rate rh, so h = 1 reproduces the
-    zero-delay step bitwise.
-
-    Ratio: (1+rh)x / (1 + (rh/K)x), factored as x * (1+rh)/(1 + rh*(x/K))
-    so that both fixed points are exact in floating point: x = K makes the
-    quotient exactly 1.
-    """
-    rh = p.r * p.h
-    if p.scheme == FORWARD:
-        return _advance(x, x, rh, p.K)
-    denominator = 1.0 + rh * (x / p.K)
-    if abs(denominator) <= _TOL:
-        raise PoleError(f"ratio map pole: denominator {denominator:.3e} at x={x!r}")
-    return x * ((1.0 + rh) / denominator)
 
 
 def _classify(derivative: float) -> StabilityVerdict:

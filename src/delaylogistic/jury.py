@@ -14,7 +14,7 @@ homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
 power of two. Once a row's interior is zeros of one sign, every later row
 is too and is kept as its four distinct entries, bit for bit what the
 full reduction holds, so the delay family's table costs O(degree). One
-row step, :func:`_reduced`, and one condition generator,
+row step, :func:`_reduced`, and one condition function,
 :func:`_condition_terms`, serve both arithmetics, doubles and decimals.
 
 One unit-circle rule decides every verdict: a root modulus within
@@ -24,10 +24,10 @@ radius of ``p`` is below ``s`` exactly when ``p(s z)`` has every root
 inside the unit circle. The verdict runs the table of
 ``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
-condition fails, else ``marginal``. :func:`jury_table` reads every
-condition once and keeps the readings. A condition whose margin lies
-within its rounding estimate is neither; if no condition fails, all are
-read again at 60 decimal digits, which leaves undecided only a margin
+condition fails, else ``marginal``. :func:`jury_table` computes every
+condition once and keeps the terms and readings. A condition whose margin
+lies within its rounding estimate is neither; if no condition fails, all
+are read again at 60 decimal digits, which leaves undecided only a margin
 within that arithmetic's estimate, such as the boundary evaluation of a
 root of high multiplicity at 1 or -1. Where one fails, the rest stay as
 read in doubles, so any of them may be undecided.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
 
@@ -86,13 +86,15 @@ class JuryTable:
     :attr:`rows` writes every row out in full. ``shifts[i]`` is the
     exponent of the power of two that row ``i`` was multiplied by, 0 for
     every row that stayed within [2**-256, 2**256]. ``readings[i]`` is
-    condition ``i + 1`` as read off the table (see :class:`ConditionResult`).
+    condition ``i + 1`` as read off the table (see :class:`ConditionResult`)
+    and ``terms[i]`` its ``(lhs, rhs, margin, rounding)``, not compared.
     """
 
     live: tuple[tuple[float, ...], ...]
     shifts: tuple[int, ...]
     radius: float
     readings: tuple[bool | None, ...]
+    terms: tuple[tuple[float, ...], ...] = field(compare=False)
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -155,12 +157,11 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     coefficient ``k`` times ``radius**(m - k)``, which leaves a signed zero
     as it is. For a row ``(a_0, ..., a_m)`` the successor entries are
     ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``, four products
-    once the interior is one signed zero. Every condition is read here,
-    once, into :attr:`JuryTable.readings`. Raises :class:`SingularTableError`
-    if a row that still needs reduction has a last entry within 1e-12 of
-    zero relative to the input's largest coefficient (input row) or to
-    ``a_m**2 + a_0**2`` of the row it was reduced from, and ``ValueError``
-    for degree 0.
+    once the interior is one signed zero. Every condition is computed and
+    read here, once. Raises :class:`SingularTableError` if a row that still
+    needs reduction has a last entry within 1e-12 of zero relative to the
+    input's largest coefficient (input row) or to ``a_m**2 + a_0**2`` of
+    the row it was reduced from, and ``ValueError`` for degree 0.
     """
     p = normalize_leading(p)
     if p.degree < 1:
@@ -181,11 +182,12 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
         scale = math.ldexp(last * last + first * first, shift)
         live.append(row)
         shifts.append(shift)
-    readings = _readings(live, _UNIT_ROUNDOFF)
+    terms = _condition_terms(live, _UNIT_ROUNDOFF)
+    readings = _readings(terms)
     # within its estimate a sign is noise: where none fails, read all again
     if None in readings and False not in readings:
         readings = _precise_readings(coeffs, radius)
-    return JuryTable(tuple(live), tuple(shifts), radius, readings)
+    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms)
 
 
 def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
@@ -235,9 +237,9 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
 
 def jury_conditions(table: JuryTable) -> list[ConditionResult]:
     """The ``degree + 1`` stability inequalities of ``table``, with the
-    readings it carries: from degree 2 on, the three of the input row and
-    one per reduced row."""
-    terms = zip(_condition_terms(table.live, _UNIT_ROUNDOFF), table.readings)
+    terms and readings it carries: from degree 2 on, the three of the input
+    row and one per reduced row."""
+    terms = zip(table.terms, table.readings)
     return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
             for index, ((lhs, rhs, margin, _), reading) in enumerate(terms, start=1)]
 
@@ -251,7 +253,7 @@ def _describe(index: int) -> str:
     return f"|last| > |first| on reduced row {index - len(_INPUT_ROW_TESTS)}"
 
 
-def _condition_terms(rows, unit) -> Iterator[tuple]:
+def _condition_terms(rows, unit) -> tuple[tuple, ...]:
     """``(lhs, rhs, margin, rounding)`` of each condition of ``rows``, in
     index order and in the arithmetic of their entries, whose unit
     roundoff is ``unit``.
@@ -268,25 +270,26 @@ def _condition_terms(rows, unit) -> Iterator[tuple]:
     rounding = 2 * m * m * unit
     one = type(unit)(1)  # 1 in the rows' arithmetic: float Horner at an int z is slower
     value_at_one = evaluate(top, one)
-    yield value_at_one, 0.0, value_at_one, horner
     alternating = (-one) ** m * evaluate(top, -one)
-    yield alternating, 0.0, alternating, horner
+    terms = [(value_at_one, 0.0, value_at_one, horner), (alternating, 0.0, alternating, horner)]
     if m >= 2:
-        yield abs(top[m]), top[0], top[0] - abs(top[m]), rounding * (abs(top[m]) + top[0])
+        outer = abs(top[m])
+        terms.append((outer, top[0], top[0] - outer, rounding * (outer + top[0])))
     for row in rows[1:]:
         f2, l2 = previous[0] * previous[0], previous[-1] * previous[-1]
         cancelled = abs(l2 - f2)
         rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
         first, last = abs(row[0]), abs(row[-1])
-        yield last, first, last - first, rounding * (last + first)
+        terms.append((last, first, last - first, rounding * (last + first)))
         previous = row
+    return tuple(terms)
 
 
-def _readings(rows, unit) -> tuple[bool | None, ...]:
-    """Every condition of ``rows``: True if it holds, False if it fails,
+def _readings(terms) -> tuple[bool | None, ...]:
+    """Every condition of ``terms``: True if it holds, False if it fails,
     None where its margin is within its rounding estimate."""
     return tuple([True if margin > rounding else False if margin < -rounding else None
-                  for _, _, margin, rounding in _condition_terms(rows, unit)])
+                  for _, _, margin, rounding in terms])
 
 
 def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[bool | None, ...]:
@@ -310,7 +313,7 @@ def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[bool | 
             if not -1000 <= exponent <= 1000:
                 row = [c.scaleb(-exponent) for c in row]
             rows.append(row)
-        return _readings(rows, Decimal(10) ** (1 - _PRECISE_DIGITS))
+        return _readings(_condition_terms(rows, Decimal(10) ** (1 - _PRECISE_DIGITS)))
 
 
 def classify_modulus(modulus: float) -> str:

@@ -12,6 +12,7 @@ import warnings
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -96,28 +97,82 @@ _json_scalars = st.one_of(
     st.floats(), st.sampled_from(_EDGE_FLOATS),
     st.text(), st.sampled_from(_EDGE_TEXT),
 )
-_json_values = st.recursive(
-    _json_scalars,
-    lambda children: st.one_of(
-        st.lists(children), st.lists(children).map(tuple),
-        st.dictionaries(st.one_of(st.text(), st.sampled_from(_EDGE_TEXT)), children)),
-    max_leaves=30)
+_json_keys = st.one_of(st.text(), st.sampled_from(_EDGE_TEXT))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(value=st.one_of(_json_values, st.lists(st.one_of(st.floats(),
-                                                        st.sampled_from(_EDGE_FLOATS)))))
+class _Pair(NamedTuple):  # json writes a named tuple as a list
+    first: object
+    second: object
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _containers(children):
+    """Every container json writes, of `children`: lists, tuples, dicts,
+    their subclasses and a named tuple."""
+    return st.one_of(
+        st.lists(children), st.lists(children).map(tuple), st.lists(children).map(_Tuple),
+        st.dictionaries(_json_keys, children), st.dictionaries(_json_keys, children).map(_Dict),
+        st.builds(_Pair, children, children))
+
+
+_json_values = st.recursive(_json_scalars, _containers, max_leaves=30)
+
+
+@st.composite
+def _scalars_at_depth(draw):
+    """A container of scalars only, at depth 0 to 4: inside up to four
+    containers, each beside scalars of its own."""
+    value = draw(_containers(_json_scalars))
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(_json_scalars, max_size=3))
+        siblings.insert(draw(st.integers(0, len(siblings))), value)
+        value = draw(st.sampled_from([
+            list, tuple, _Tuple, lambda items: _Pair(*items) if len(items) == 2 else items,
+            lambda items: {f"k{i}": item for i, item in enumerate(items)},
+            lambda items: _Dict({f"k{i}": item for i, item in enumerate(items)}),
+        ]))(siblings)
+    return value
+
+
+_EMPTY = [[], (), {}, _Tuple(), _Dict(), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()],
+          [[[[]]]], {"a": {"b": {"c": {}}}}, _Pair([], {}), [1, [], 2.5, {}]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=st.one_of(_json_values, _scalars_at_depth(), st.sampled_from(_EMPTY),
+                       st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)))))
 def test_json_writer_is_what_json_dumps_writes(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, 1j, Decimal("0.1"), [0.5, {2.5}],
-                                   {"a": [1.0, Decimal(1)]}])
+@pytest.mark.parametrize("value", [
+    {1, 2}, 1j, Decimal("0.1"), [0.5, {2.5}], {"a": [1.0, Decimal(1)]},
+    # a refused type in a container of scalars only, at the top and deeper
+    [1, 2j], (0.5, frozenset()), {"a": 1, "b": Decimal("0.1")}, _Pair(1, {2}),
+    [[1.0, 2.0], [3.0, 1j]], {"a": {"b": {0.5}}}, _Dict(a=set()),
+])
 def test_json_writer_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, indent=2)
     with pytest.raises(TypeError):
         cli._json(value)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, math.nan, (1, 2)])
+def test_json_writer_takes_str_keys_only(key):
+    # json.dumps writes a scalar key quoted; the writer refuses every key
+    # but a str, whether the dict holds only scalars or holds a container
+    for value in ({key: 0.5}, {"a": 1, key: "b"}, {key: [0.5]}, {"a": {}, key: 1},
+                  [{key: 0.5}], {"a": {key: None}}):
+        with pytest.raises(TypeError):
+            cli._json(value)
 
 
 def test_json_documents_do_not_go_through_json_dumps(capsys, monkeypatch):
@@ -657,15 +712,30 @@ def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
 ], ids=["jury-stable", "jury-unstable", "jury-marginal", "stability-stable",
         "stability-unstable", "stability-marginal"])
 def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, tables):
-    # each table reads its conditions in doubles once, where it is built,
-    # and the condition records reuse those readings; a decimal re-read
-    # reads them once more
-    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_readings"),
-                                        (jury, "_precise_readings")])
+    # each table computes its condition terms in doubles once, where it is
+    # built, and the condition records reuse those terms and readings; a
+    # decimal re-read computes them once more, in its own arithmetic
+    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_condition_terms"),
+                                        (jury, "_precise_readings"),
+                                        (jury, "jury_conditions")])
+    records = jury.jury_conditions
+
+    def records_without_terms(table):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the condition records computed terms")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(jury, "_condition_terms", refuse)
+            return records(table)
+
+    monkeypatch.setattr(jury, "jury_conditions", records_without_terms)
     code, out, _ = _run(capsys, argv)
     assert code == 0
-    assert json.loads(out)["verdict"]["method"] == "jury"
-    assert counts["jury_table"] == counts["_readings"] - counts["_precise_readings"] == tables
+    payload = json.loads(out)
+    assert payload["verdict"]["method"] == "jury" and payload["conditions"]
+    assert counts["jury_conditions"] == 1
+    assert (counts["jury_table"] == counts["_condition_terms"] - counts["_precise_readings"]
+            == tables)
 
 
 def test_jury_degenerate_polynomial_is_numeric_failure(capsys):
@@ -882,3 +952,35 @@ def test_usage_text_matches_a_fresh_parser_after_many_calls(capsys, monkeypatch)
         assert _run(capsys, argv) == (1, "", usage)
         prog = " ".join(["delaylogistic", *argv[:1]])
         assert usage.startswith(f"{prog}: ") and f"usage: {prog} [-h]" in usage
+
+
+# run parses an argv that starts with a command name by that command's
+# parser alone; every outcome must be what the top parser gives, on each
+# Python's argparse
+_SIMULATE = ["simulate", "--r", "0.5", "--K", "1", "--tau", "1", "--steps", "3"]
+_STABILITY = ["stability", "--tau", "1", "--r", "1", "--point", "trivial"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIMULATE + ["--x0", "0.5"],
+    _STABILITY,
+    ["boundary", "--tau-max", "2", "--format", "csv"],
+    ["tables"],
+    ["jury", "--coeffs", "1,-1,0,0.5"],
+    ["discretize", "--scheme", "forward", "--r", "1", "--h", "1", "--K", "1"],
+    *[[command, "-h"] for command in cli._COMMANDS],
+    ["-h"], ["--help"], [], ["jacobian"], ["Tables"], ["--out", "x", "tables"],
+    ["-x", "tables"], ["--", "tables"],
+    _STABILITY + ["extra"], ["tables", "extra", "words"], ["tables", "--format", "csv", "-y"],
+    ["tables", "--", "x"], _STABILITY + ["--", "x"], ["tables", "--"],
+    ["jury", "--coeffs", "1,2", "--", "--coeffs", "3"],
+    ["stability", "--ta=1", "--r", "1", "--po", "trivial"],
+    ["boundary", "--tau=2", "--format=csv"], ["boundary", "--t", "2"],
+    _SIMULATE + ["--x0", "0.5", "--history", "0.5,0.5"],
+    _SIMULATE + ["--history", "0.5,0.5", "--x0", "0.5", "extra"],
+    ["stability", "--tau", "1", "extra"], ["tables", "extra", "-h"],
+])
+def test_a_command_parser_gives_what_the_top_parser_gives(capsys, monkeypatch, argv):
+    outcome = _run(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert outcome == _run(capsys, argv)

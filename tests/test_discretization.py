@@ -12,9 +12,9 @@ from delaylogistic.discretization import (
     PoleError,
     SchemeParams,
     scheme_stability,
-    scheme_step,
 )
 from delaylogistic.jury import MARGINAL, STABLE, UNSTABLE
+from schemes import scheme_step
 
 
 def _forward(r, K, h):

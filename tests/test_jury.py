@@ -9,7 +9,6 @@ import pytest
 from delaylogistic import jury
 from delaylogistic.delay_map import NONTRIVIAL, TRIVIAL, char_poly
 from delaylogistic.jury import (
-    _UNIT_ROUNDOFF,
     INNER_RADIUS,
     MARGINAL,
     OUTER_RADIUS,
@@ -609,7 +608,7 @@ def test_decided_double_readings_agree_with_the_decimal_readings():
             table = jury_table(p, INNER_RADIUS)
         except SingularTableError:
             continue
-        doubles = _readings(table.live, _UNIT_ROUNDOFF)
+        doubles = _readings(table.terms)
         # where jury_table read the table in decimal, it carries those readings
         precise = (table.readings if _reread(doubles)
                    else _precise_readings(_input_coeffs(p), INNER_RADIUS))
@@ -638,7 +637,7 @@ def test_decimal_readings_keep_their_decided_signs_at_twice_the_digits(monkeypat
                 table = jury_table(p, radius)
             except SingularTableError:
                 continue
-            if not _reread(_readings(table.live, _UNIT_ROUNDOFF)):
+            if not _reread(_readings(table.terms)):
                 continue
             reread += 1
             with monkeypatch.context() as patch:

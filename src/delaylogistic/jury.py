@@ -5,9 +5,8 @@ is the 2x2 determinant pairing the previous row's outer entries with a
 mirrored interior pair, and each row comes out one entry shorter, down to a
 final three-entry row (at degrees 1 and 2 the table is the input row
 alone). Stability of the root set (all moduli < 1) is equivalent to
-``m + 1`` strict inequalities, all read off the table: on the input row,
-two boundary evaluations at +1 and -1 and, from degree 2, a magnitude test
-on the outer coefficients; then one magnitude test per reduced row.
+``m`` strict inequalities read off the table, the Schur-Cohn signs: a
+magnitude test on each row and, from degree 2, one more on the last.
 
 The table is scale-free: the recurrence and every condition are
 homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
@@ -28,9 +27,9 @@ condition fails, else ``marginal``. :func:`jury_table` computes every
 condition once and keeps the terms and readings. A condition whose margin
 lies within its rounding estimate is neither; if no condition fails, all
 are read again at 60 decimal digits, which leaves undecided only a margin
-within that arithmetic's estimate, such as the boundary evaluation of a
-root of high multiplicity at 1 or -1. Where one fails, the rest stay as
-read in doubles, so any of them may be undecided.
+within that arithmetic's estimate, such as a condition that a root of
+high multiplicity on the circle cancels. Where one fails, the rest stay
+as read in doubles, so any of them may be undecided.
 
 The oracle also stands in where a table is singular (a zero pivot, such
 as the constant term of the all-zero fixed point's polynomial).
@@ -42,7 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .polynomial import Polynomial, RootSet, evaluate, normalize_leading, roots
+from .polynomial import Polynomial, RootSet, normalize_leading, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -86,8 +85,9 @@ class JuryTable:
     :attr:`rows` writes every row out in full. ``shifts[i]`` is the
     exponent of the power of two that row ``i`` was multiplied by, 0 for
     every row that stayed within [2**-256, 2**256]. ``readings[i]`` is
-    condition ``i + 1`` as read off the table (see :class:`ConditionResult`)
-    and ``terms[i]`` its ``(lhs, rhs, margin, rounding)``, not compared.
+    condition ``i + 1`` as read off the table (see :class:`ConditionResult`),
+    one per degree, and ``terms[i]`` its ``(lhs, rhs, margin, rounding)``,
+    not compared.
     """
 
     live: tuple[tuple[float, ...], ...]
@@ -110,7 +110,9 @@ class JuryTable:
 
 
 class ConditionResult(NamedTuple):
-    """One strict inequality, 1-indexed, with its signed slack in doubles.
+    """One strict inequality, 1-indexed, with its signed slack in doubles:
+    ``margin`` is ``rhs - lhs`` for condition 1, ``|a_m| < a_0``, and
+    ``lhs - rhs`` after it, positive where the inequality holds.
 
     ``satisfied`` is the table's reading: True if it holds, False if it
     fails, None where its margin is within its rounding estimate. Where
@@ -236,21 +238,16 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
 
 
 def jury_conditions(table: JuryTable) -> list[ConditionResult]:
-    """The ``degree + 1`` stability inequalities of ``table``, with the
-    terms and readings it carries: from degree 2 on, the three of the input
-    row and one per reduced row."""
-    terms = zip(table.terms, table.readings)
-    return [ConditionResult(index, _describe(index), lhs, rhs, reading, margin)
-            for index, ((lhs, rhs, margin, _), reading) in enumerate(terms, start=1)]
-
-
-_INPUT_ROW_TESTS = ("P(1) > 0", "(-1)^m P(-1) > 0", "|a_m| < a_0")
-
-
-def _describe(index: int) -> str:
-    if index <= len(_INPUT_ROW_TESTS):
-        return _INPUT_ROW_TESTS[index - 1]
-    return f"|last| > |first| on reduced row {index - len(_INPUT_ROW_TESTS)}"
+    """The ``degree`` stability inequalities of ``table``, one per row and
+    one more on the three-entry row (see :func:`_condition_terms`), with
+    the terms and readings the table carries."""
+    m = len(table.terms)
+    tests = ["|a_m| < a_0"] + [f"|last| > |first| on reduced row {k}" for k in range(1, m - 1)]
+    if m > 1:
+        tests.append("|first + last| > |middle| on the three-entry row")
+    return [ConditionResult(index, test, lhs, rhs, reading, margin)
+            for index, (test, (lhs, rhs, margin, _), reading)
+            in enumerate(zip(tests, table.terms, table.readings), start=1)]
 
 
 def _condition_terms(rows, unit) -> tuple[tuple, ...]:
@@ -258,23 +255,26 @@ def _condition_terms(rows, unit) -> tuple[tuple, ...]:
     index order and in the arithmetic of their entries, whose unit
     roundoff is ``unit``.
 
-    ``rounding`` estimates the error in ``margin``: Horner's bound
-    ``2m u sum |a_i|`` for the boundary evaluations, else
-    ``2m**2 u (lhs + rhs)`` (a ratio of a row's entries gathers the errors
-    of every row before it) times the growth ``(l**2 + f**2) / |l**2 - f**2|``
-    of each reduction so far, from its row's first and last entries.
+    Carry the reduction on to one entry and let ``delta_k`` be the last
+    entry of reduced row ``k``. Every root lies inside the unit circle
+    exactly when ``delta_1 < 0`` and each later ``delta_k > 0`` (Schur-Cohn;
+    Marden, *Geometry of Polynomials*, 1966), and condition ``k``'s margin
+    has the sign of ``-delta_1``, then of ``delta_k``: ``|a_m| < a_0`` on
+    the input row, ``|last| > |first|`` on each reduced row and, from
+    degree 2, ``|first + last| > |middle|`` on the three-entry row
+    ``(a, b, c)``, as ``delta_m = (c - a)**2 ((a + c)**2 - b**2)`` and
+    condition ``m - 1`` holds only where ``c != a``.
+
+    ``rounding`` is ``2m**2 u`` (a ratio of a row's entries gathers the
+    errors of every row before it) times the growth ``(l**2 + f**2) /
+    |l**2 - f**2|`` of each reduction so far, times ``lhs + rhs``, or
+    ``|a| + |b| + |c|`` where ``a + c`` may cancel.
     """
     top = previous = rows[0]
     m = len(top) - 1
-    horner = 2 * m * unit * sum(map(abs, top))
     rounding = 2 * m * m * unit
-    one = type(unit)(1)  # 1 in the rows' arithmetic: float Horner at an int z is slower
-    value_at_one = evaluate(top, one)
-    alternating = (-one) ** m * evaluate(top, -one)
-    terms = [(value_at_one, 0.0, value_at_one, horner), (alternating, 0.0, alternating, horner)]
-    if m >= 2:
-        outer = abs(top[m])
-        terms.append((outer, top[0], top[0] - outer, rounding * (outer + top[0])))
+    outer = abs(top[m])
+    terms = [(outer, top[0], top[0] - outer, rounding * (outer + top[0]))]
     for row in rows[1:]:
         f2, l2 = previous[0] * previous[0], previous[-1] * previous[-1]
         cancelled = abs(l2 - f2)
@@ -282,6 +282,10 @@ def _condition_terms(rows, unit) -> tuple[tuple, ...]:
         first, last = abs(row[0]), abs(row[-1])
         terms.append((last, first, last - first, rounding * (last + first)))
         previous = row
+    if m > 1:  # the last row has three entries, kept as four once sparse
+        a, b, c = previous[0], previous[-2], previous[-1]
+        ends, middle = abs(a + c), abs(b)
+        terms.append((ends, middle, ends - middle, rounding * (abs(a) + abs(b) + abs(c))))
     return tuple(terms)
 
 
@@ -351,8 +355,8 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
 
 class StableReading(NamedTuple):
     """What :func:`is_stable` returns: whether the table reads stable, the
-    method that decided, and ``guide``, the margin of the table's last
-    condition over the size of that condition's operands (see
+    method that decided, and ``guide``, the margin of the table's condition
+    ``max(m - 1, 1)`` over the size of that condition's operands (see
     :func:`_guide`), NaN where the oracle decided."""
 
     holds: bool
@@ -373,18 +377,11 @@ def is_stable(p: Polynomial) -> StableReading:
 
 
 def _guide(table: JuryTable) -> float:
-    """The margin of the last condition of ``table`` over its operands'
-    size, in [-1, 1]: positive where it holds, negative where it fails.
-
-    At degree 1 that condition is ``(-1)^m P(-1) > 0``, whose right side is
-    0, so it is scaled by ``sum |a_i|``; at degree 2 it is ``|a_m| < a_0``,
-    and from degree 3 ``|last| > |first|`` on the last reduced row. For
-    the delay family it is the condition that fails where a root pair
-    crosses the circle at f(tau), so a root of the guide in r places f.
+    """The margin of condition ``max(m - 1, 1)`` of ``table`` over its
+    operands' size, in [-1, 1]: positive where it holds. For the delay
+    family it is the condition that fails where a root pair crosses the
+    circle at f(tau), so a root of the guide in r places f.
     """
-    top, last = table.live[0], table.live[-1]
-    if len(top) == 2:
-        return (top[0] - top[1]) / (abs(top[0]) + abs(top[1]))
-    holds_by, against = (top[0], abs(top[2])) if len(top) == 3 else (abs(last[-1]), abs(last[0]))
-    size = holds_by + against
-    return (holds_by - against) / size if size else 0.0
+    lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
+    size = lhs + rhs
+    return margin / size if size else 0.0

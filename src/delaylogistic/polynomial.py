@@ -5,7 +5,8 @@ highest power and the degree is ``len(coeffs) - 1``. The roots are the
 eigenvalues of the companion matrix, so the oracle shares no code with
 the coefficient-based stability tests that it cross-checks. Only
 :func:`roots` needs numpy, and it imports it on its first call, so a
-verdict that the coefficient table decides never loads it.
+verdict that the coefficient table decides never loads it. Only
+:func:`roots` uses :func:`evaluate`, for its residual.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ class RootSet:
 
 def evaluate(coeffs: Sequence[float], z: complex) -> complex:
     """Evaluate the polynomial with coefficients ``coeffs`` (descending
-    powers) at ``z`` by Horner's rule.
-
-    Returns a float, complex or ``Decimal``: the arithmetic of its operands.
-    """
+    powers) at ``z`` by Horner's rule, in the arithmetic of its operands."""
     acc = 0
     for c in coeffs:
         acc = acc * z + c

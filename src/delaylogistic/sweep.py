@@ -5,13 +5,13 @@ For each delay the non-trivial fixed point is stable on an open interval
 whose ends the predicate "stable?" decides; the predicate runs only the
 inner-radius table of :mod:`jury` (the root oracle where that table is
 singular), and its reading is ``(holds, method, guide)``. The guide comes
-from the same table: the margin of its last condition, which at every
-delay is the one that fails at f, so a secant step on it picks most trial
-rates, and a midpoint step takes over wherever the guide and the verdicts
-disagree, the oracle gave a NaN guide, or the last two reads did not
-halve the bracket. A rate in the marginal band is not stable, so the
-threshold found is the band's lower edge, about 2.2e-12 below f(tau) at
-every delay.
+from the same table: the margin of its condition ``max(m - 1, 1)`` at
+degree ``m = tau + 1``, which at every delay is the one that fails at f,
+so a secant step on it picks most trial rates, and a midpoint step takes
+over wherever the guide and the verdicts disagree, the oracle gave a NaN
+guide, or the last two reads did not halve the bracket. A rate in the
+marginal band is not stable, so the threshold found is the band's lower
+edge, about 2.2e-12 below f(tau) at every delay.
 
 Seeded by :func:`boundary_table` from the delays before it, a threshold
 takes 2 to 8 tables from delay 2 on (5.9 on average through delay 30, 4.4
@@ -84,22 +84,23 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
     defaults the walk doubles or halves 0.1. The first rate on the other
     side closes the bracket.
 
-    One loop then shrinks it. Where the ends' guides agree with the
-    verdicts (positive at the stable end, negative at the unstable end),
-    the next rate is the secant step through the two latest trials (at
-    first the walk's last two): where the line through their guides
-    crosses zero, if that falls strictly inside the bracket, and else the
-    ends' false-position point, where the line through the ends' guides
-    crosses zero. A point within ``tol / 2`` of an end is moved
-    ``tol / 2`` inside it, so a guide that places f next to an end closes
-    the bracket with one more table; if it does not, the next rate is the
-    midpoint. The midpoint is also the next rate wherever the last two
-    reads did not halve the bracket, which holds a right-signed but flat
-    guide to about twice the reads of bisection, and at every other rate,
-    so without guides (the oracle gives none) the loop bisects. It stops
-    once the bracket is no wider than ``tol``, or once its ends are
-    adjacent doubles, so a ``tol`` below the float spacing ends at one
-    ulp. Raises :class:`BracketingError` when no flip exists in range,
+    One loop then shrinks it. A trial's guide is the scaled margin of its
+    table's condition ``max(m - 1, 1)`` (see :func:`jury._guide`). Where
+    the ends' guides agree with the verdicts (positive at the stable end,
+    negative at the unstable end), the next rate is the secant step
+    through the two latest trials (at first the walk's last two): where
+    the line through their guides crosses zero, if that falls strictly
+    inside the bracket, and else the ends' false-position point, where the
+    line through the ends' guides crosses zero. A point within ``tol / 2``
+    of an end is moved ``tol / 2`` inside it, so a guide that places f next
+    to an end closes the bracket with one more table; if it does not, the
+    next rate is the midpoint. The midpoint is also the next rate wherever
+    the last two reads did not halve the bracket, which holds a
+    right-signed but flat guide to about twice the reads of bisection, and
+    at every other rate, so without guides (the oracle gives none) the loop
+    bisects. It stops once the bracket is no wider than ``tol``, or once
+    its ends are adjacent doubles, so a ``tol`` below the float spacing
+    ends at one ulp. Raises :class:`BracketingError` when no flip exists in range,
     which for this family signals a defect.
     """
     if tol <= 0:

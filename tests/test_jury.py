@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -26,6 +27,7 @@ from delaylogistic.jury import (
     oracle_verdict,
 )
 from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial, normalize_leading
+from schur_cohn import deltas
 from sparse_rows import bits, delay_table, dense_tables, induction_mismatches
 
 
@@ -76,7 +78,7 @@ def test_decimal_reread_of_an_exact_cancellation_reads_undecided():
     # (z - 1)^2 (z + 1) at radius 1: in decimal |last| = |first| on the
     # input row, so the next estimate is infinite and meets a zero margin
     table = jury_table(Polynomial((1.0, -1.0, -1.0, 1.0)))
-    assert table.readings == (None, None, None, None)
+    assert table.readings == (None, None, None)
 
 
 def test_rows_recomputable_from_their_predecessor():
@@ -135,8 +137,8 @@ def test_verdict_is_independent_of_the_input_scale(scale):
 @pytest.mark.parametrize("coeffs", [(1.0, 0.9), (1.0, -1.0, 0.5)])
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e300, 1e308, 1.7e308])
 def test_low_degree_verdict_is_independent_of_the_input_scale(coeffs, scale):
-    # the boundary conditions are evaluated on the input row brought into
-    # range, so P(1) cannot overflow to inf near the top of the doubles
+    # the conditions are read on the input row brought into range, so
+    # |a_0 + a_2| cannot overflow to inf near the top of the doubles
     p = Polynomial(tuple(scale * c for c in coeffs))
     verdict = jury_verdict(p)
     assert verdict == jury_verdict(Polynomial(coeffs))
@@ -159,41 +161,113 @@ def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
 
 def test_conditions_all_satisfied_inside_the_stable_range():
     conditions = jury_conditions(jury_table(Polynomial((1.0, -1.0, 0.0, 0.5))))
-    assert [c.index for c in conditions] == [1, 2, 3, 4]
+    assert [c.index for c in conditions] == [1, 2, 3]
     assert all(c.satisfied for c in conditions)
 
 
 def test_conditions_reduced_row_failure_outside_the_range():
     table = jury_table(Polynomial((1.0, -1.0, 0.0, 0.7)))
-    assert table.readings == (True, True, True, False)  # read where it is built
+    assert table.readings == (True, False, True)  # read where it is built
     conditions = jury_conditions(table)
-    last = conditions[3]
-    assert last.index == 4
-    assert last.lhs == pytest.approx(abs(0.7 ** 2 - 1.0))
-    assert last.rhs == pytest.approx(0.7)
-    assert not last.satisfied
-    assert all(c.satisfied for c in conditions[:3])
+    failed = conditions[1]
+    assert failed.index == 2
+    assert failed.lhs == pytest.approx(abs(0.7 ** 2 - 1.0))
+    assert failed.rhs == pytest.approx(0.7)
+    assert not failed.satisfied
+    assert conditions[0].satisfied and conditions[2].satisfied
 
 
-def test_conditions_degree_one_only_boundary_checks():
+def test_conditions_degree_one_only_input_row_check():
     conditions = jury_conditions(jury_table(Polynomial((1.0, 0.999))))
-    assert [c.index for c in conditions] == [1, 2]
-    assert conditions[0].lhs == pytest.approx(1.999)
-    assert conditions[1].lhs == pytest.approx(0.001)
+    assert [c.index for c in conditions] == [1]
+    assert conditions[0].lhs == pytest.approx(0.999)
+    assert conditions[0].margin == pytest.approx(0.001)
     assert jury_verdict(Polynomial((1.0, 0.999))).status == STABLE
 
 
-def test_condition_count_is_degree_plus_one():
+def test_condition_count_is_the_degree():
     rng = random.Random(8)
     for _ in range(40):
-        degree = rng.randint(2, 9)
+        degree = rng.randint(1, 9)
         coeffs = [rng.uniform(-2.0, 2.0) for _ in range(degree + 1)]
         coeffs[0] = abs(coeffs[0]) + 0.5
         try:
             conditions = jury_conditions(jury_table(Polynomial(coeffs)))
         except SingularTableError:
             continue
-        assert len(conditions) == degree + 1
+        assert len(conditions) == degree
+
+
+def _dyadic_polynomials(rng: random.Random) -> list[tuple[Fraction, ...]]:
+    """1000 polynomials of degree 1..10 with coefficients in multiples of
+    2**-10, so rationals that doubles hold exactly; every other one is a
+    random factor times (z - 1), (z + 1), (z**2 + 1) or (z**2 - z + 1),
+    whose roots lie on the unit circle."""
+    def coefficient() -> Fraction:
+        return Fraction(rng.randint(-2 ** 11, 2 ** 11), 2 ** 10)
+
+    polys = []
+    for i in range(1000):
+        degree = rng.randint(1, 10)
+        if i % 2:
+            coeffs = [coefficient() or Fraction(1)] + [coefficient() for _ in range(degree)]
+        else:
+            circle = rng.choice(((1, -1), (1, 1), (1, 0, 1), (1, -1, 1)))
+            factor = [Fraction(1)] + [coefficient() for _ in range(max(degree - len(circle) + 1, 0))]
+            coeffs = _times(factor, circle)
+        polys.append(tuple(coeffs))
+    return polys
+
+
+def _delay_family_at_rational_rates() -> list[tuple[Fraction, ...]]:
+    """The capacity point's polynomial at tau 0..40, at rates of 10 and 30
+    bits after the point near 0.5, 1 and 1.5 times f(tau), and at f(tau)
+    as a double."""
+    polys = []
+    for tau in range(41):
+        threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+        rates = [Fraction(round(fraction * threshold * 2 ** bits), 2 ** bits)
+                 for bits in (10, 30) for fraction in (0.5, 1.0, 1.5)]
+        for r in rates + [Fraction(threshold)]:
+            polys.append(tuple(map(Fraction, char_poly(tau, float(r), NONTRIVIAL).coeffs)))
+    return polys
+
+
+def test_decided_conditions_read_the_exact_schur_cohn_signs():
+    # condition 1 holds exactly when delta_1 < 0 and condition k > 1 when
+    # delta_k > 0, the deltas taken exactly from the doubles the table
+    # starts from: whatever the table decides, in doubles or in decimal,
+    # must be that sign. The one exception is condition m where
+    # delta_(m-1), c**2 - a**2 of the three-entry row (a, b, c) up to a
+    # positive factor, is 0: with c = a, delta_m = (c - a)**2 ((a + c)**2
+    # - b**2) is 0 too, and condition m reads the second factor alone. So
+    # there condition m - 1 must not hold, and condition m is not checked.
+    seen = {"degree 1": 0, "degree 2": 0, "four entries": 0, "re-read": 0,
+            "holds": 0, "fails": 0, "undecided": 0, "delta_(m-1) = 0": 0}
+    polys = _dyadic_polynomials(random.Random(2024)) + _delay_family_at_rational_rates()
+    for coeffs in polys:
+        assert all(Fraction(float(c)) == c for c in coeffs), coeffs
+        try:
+            table = jury_table(Polynomial([float(c) for c in coeffs]))
+        except SingularTableError:
+            continue
+        found = deltas(coeffs)
+        expected = [found[0] < 0] + [delta > 0 for delta in found[1:]]
+        if len(found) > 1 and found[-2] == 0:
+            assert table.readings[-2] is not True, coeffs
+            seen["delta_(m-1) = 0"] += 1
+            expected[-1] = table.readings[-1]
+        assert len(table.readings) == len(expected) == len(coeffs) - 1, coeffs
+        for index, (reading, holds) in enumerate(zip(table.readings, expected), start=1):
+            if reading is not None:
+                assert reading == holds, (coeffs, index)
+            seen["undecided" if reading is None else "holds" if reading else "fails"] += 1
+        seen["degree 1"] += len(coeffs) == 2
+        seen["degree 2"] += len(coeffs) == 3
+        seen["four entries"] += any(len(row) == 4 < len(table.live[0]) - i
+                                    for i, row in enumerate(table.live))
+        seen["re-read"] += _reread(_readings(table.terms))
+    assert min(seen.values()) >= 50, seen
 
 
 def test_verdict_stable_inside_delay_one_range():
@@ -203,7 +277,7 @@ def test_verdict_stable_inside_delay_one_range():
 def test_verdict_unstable_beyond_delay_one_range():
     verdict = jury_verdict(Polynomial((1.0, -1.0, 1.5)))
     assert verdict.status == UNSTABLE
-    assert verdict.witness == 3
+    assert verdict.witness == 1
     assert verdict.method == "jury"
 
 
@@ -222,7 +296,7 @@ def test_verdict_marginal_at_machine_precision_threshold():
         lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
     verdict = jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.0, 0.5 * (lo + hi))))
     assert verdict.status == MARGINAL
-    assert verdict.witness == 5
+    assert verdict.witness == 3
 
 
 def test_verdict_unstable_at_six_decimal_rounding_of_threshold():
@@ -230,7 +304,7 @@ def test_verdict_unstable_at_six_decimal_rounding_of_threshold():
     # lands outside the open stable range by a margin far beyond 1e-12
     verdict = jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.0, 0.445042)))
     assert verdict.status == UNSTABLE
-    assert verdict.witness == 5
+    assert verdict.witness == 3
 
 
 # singular at radius 1 and at both radii 1 -+ MARGIN_TOL: reduced row 3
@@ -268,7 +342,7 @@ def test_table_verdict_carries_its_table_and_conditions():
     low = jury_verdict(Polynomial((1.0, 0.999)))
     assert low.status == STABLE and low.table.radius == INNER_RADIUS
     assert low.table.rows == ((INNER_RADIUS, 0.999),)
-    assert len(jury_conditions(low.table)) == 2
+    assert len(jury_conditions(low.table)) == 1
 
 
 def test_fallback_verdict_carries_its_roots_and_reason():
@@ -558,11 +632,10 @@ def _unit_circle_products(rng: random.Random) -> list[Polynomial]:
 
 def test_verdict_follows_the_records_on_random_polynomials():
     rng = random.Random(1307)
-    # roots on the unit circle put conditions inside their band: a root at
-    # 1 the first, at -1 the second, a pair at angle theta a reduced row's.
-    # A random factor's roots outside the circle then fail a later
-    # condition, which must win; roots at both 1 and -1 leave two
-    # conditions in their band, and the first must be the witness.
+    # roots on the unit circle put conditions inside their band. A random
+    # factor's roots outside the circle then fail another condition, which
+    # must win; where two conditions are in their band, the first must be
+    # the witness.
     polys = _random_polynomials(rng) + _unit_circle_products(rng)
     seen = _statuses_following_the_records(polys)
     assert min(seen[s] for s in (STABLE, UNSTABLE, MARGINAL)) >= 50, seen
@@ -764,7 +837,7 @@ def test_delay_family_verdicts_near_the_threshold(tau):
 @pytest.mark.parametrize("tau", [30, 300])
 def test_delay_family_verdicts_next_to_the_band_edges(tau):
     # within 40 doubles of the rates where the dominant root modulus is
-    # 1 -+ 1e-12, the last condition's double margin is rounding noise, and
+    # 1 -+ 1e-12, condition m - 1's double margin is rounding noise, and
     # only the decimal re-read follows the rule
     with mpmath.workdps(60):
         f = 2 * mpmath.sin(mpmath.pi / (2 * (2 * tau + 1)))

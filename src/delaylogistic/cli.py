@@ -4,7 +4,13 @@ Every input is a flag (no config files, no environment), so a run is fully
 reproducible from its argv. Exit codes: 0 success (``-h`` too), 1 usage
 error (also an ``--out`` path that cannot be written), 2 numeric failure
 (bracketing failure, degenerate or out-of-range input, such as an
-``r * h`` that overflows in ``discretize``).
+``r * h`` that overflows in ``discretize``, or a ``jury`` input whose monic
+form overflows and whose table reads no condition failing).
+
+Unless ``stability --method oracle`` asks for the root oracle, which alone
+loads numpy, every `stability` and `jury` verdict comes from the reduction
+table, which reads any polynomial of degree >= 1 (its trailing zeros
+dropped).
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls, so a process may call it any number of times. An
@@ -202,21 +208,17 @@ def _verdict_payload(verdict: jury.StabilityVerdict) -> dict:
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     """What the verdict rests on: the radius of its table's run and the
-    conditions read off that table, or the root moduli with their
-    residual and, after a fallback, why the table could not decide.
+    conditions read off that table, or, from the root oracle, the root
+    moduli with their residual.
 
     The residual is max |P(root)|; it is null when that overflows a double.
     """
     if verdict.table is not None:
         return {"radius": verdict.table.radius,
                 "conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
-    payload: dict = {}
-    if verdict.reason is not None:
-        payload["note"] = f"{verdict.reason}; verdict taken from the root oracle"
     roots = verdict.root_set
-    payload["root_moduli"] = sorted((abs(z) for z in roots.roots), reverse=True)
-    payload["root_residual"] = roots.residual if math.isfinite(roots.residual) else None
-    return payload
+    return {"root_moduli": sorted((abs(z) for z in roots.roots), reverse=True),
+            "root_residual": roots.residual if math.isfinite(roots.residual) else None}
 
 
 # one sample of each trajectory format, as a %-template of its step and x:
@@ -292,12 +294,12 @@ def _cmd_boundary(args: argparse.Namespace) -> dict | list[str]:
     table = sweep.boundary_table(args.tau_max, tol=args.tol)
     if args.format == "csv":
         lines = ["tau,r_critical,bracket_width,method"]
-        lines += [f"{p.tau},{p.r_critical:.17g},{p.bracket_width:.17g},{p.method}"
+        lines += [f"{p.tau},{p.r_critical:.17g},{p.bracket_width:.17g},{jury.JURY}"
                   for p in table.points]
         lines.append(f"# monotone_decreasing={str(table.monotone_decreasing).lower()}")
         return lines
     return {"points": [{"tau": p.tau, "r_critical": p.r_critical,
-                        "bracket_width": p.bracket_width, "method": p.method}
+                        "bracket_width": p.bracket_width, "method": jury.JURY}
                        for p in table.points],
             "monotone_decreasing": table.monotone_decreasing}
 
@@ -330,10 +332,9 @@ def _cmd_jury(args: argparse.Namespace) -> dict | list[str]:
         "coeffs": p.coeffs,
         "normalized_coeffs": normalized.coeffs,
         "verdict": _verdict_payload(verdict),
+        "table_rows": verdict.table.rows,
+        "table_shifts": verdict.table.shifts,
     }
-    table = verdict.table  # None when the table was singular
-    payload["table_rows"] = None if table is None else table.rows
-    payload["table_shifts"] = None if table is None else table.shifts
     payload.update(_evidence_payload(verdict))
     return payload
 

@@ -7,6 +7,17 @@ final three-entry row (at degrees 1 and 2 the table is the input row
 alone). Stability of the root set (all moduli < 1) is equivalent to
 ``m`` strict inequalities read off the table, the Schur-Cohn signs: a
 magnitude test on each row and, from degree 2, one more on the last.
+Trailing zero coefficients are roots at 0, inside the circle at every
+radius, so the table reduces the polynomial without them, down to degree
+1: the zero point's ``lambda**tau (lambda - (1 + r))`` is read off
+``(1, -(1 + r))``.
+
+The reduction never divides, so a row whose last entry is 0 (a zero
+pivot) needs no case of its own: the table reduces on past it, and the
+condition on that entry, a strict inequality with a zero side, does not
+hold. A pivot that cancellation left at rounding noise inflates the
+rounding estimates of every later condition, so that a margin the noise
+could flip is undecided and read again in decimal, as below.
 
 The table is scale-free: the recurrence and every condition are
 homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
@@ -31,17 +42,22 @@ within that arithmetic's estimate, such as a condition that a root of
 high multiplicity on the circle cancels. Where one fails, the rest stay
 as read in doubles, so any of them may be undecided.
 
-The oracle also stands in where a table is singular (a zero pivot, such
-as the constant term of the all-zero fixed point's polynomial).
+A verdict of ``stable`` or ``marginal`` on a polynomial whose monic form
+overflows a double is refused with the root oracle's ``ValueError``
+(:func:`polynomial.require_monic_form`): such a table has lost its small
+entries to underflow and may read a root of modulus 1e80 or more as
+marginal. A condition that fails still reads ``unstable``. The root
+oracle itself (:func:`oracle_verdict`) is never called by the table's
+verdicts; it serves ``--method oracle`` and the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .polynomial import Polynomial, RootSet, normalize_leading, roots
+from .polynomial import Polynomial, RootSet, normalize_leading, require_monic_form, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -61,9 +77,6 @@ OUTER_RADIUS = 1.0 + MARGIN_TOL
 _UNIT_ROUNDOFF = 2.0 ** -53
 _PRECISE_DIGITS = 60
 
-# A row is singular when |last| <= _SINGULAR_TOL times the magnitude that
-# last entry was computed at (see jury_table).
-_SINGULAR_TOL = 1e-12
 # A row is rescaled once its largest magnitude leaves this range. A
 # product squares the magnitude, so a row inside it cannot underflow or
 # overflow a double at the next reduction.
@@ -71,18 +84,14 @@ _RESCALE_LOW = 2.0 ** -256
 _RESCALE_HIGH = 2.0 ** 256
 
 
-class SingularTableError(RuntimeError):
-    """A row that still needs reduction ends in ~0; the scheme breaks down."""
-
-
 @dataclass(frozen=True)
 class JuryTable:
     """Reduction rows of ``p(radius * z)``, kept as their live entries.
 
     ``live[i]`` is row ``i``, ``live[0]`` the input row: the coefficients
-    of ``p`` brought into range, scaled by the radius. A row whose interior
-    is zeros of one sign is kept as ``(first, zero, penultimate, last)``;
-    :attr:`rows` writes every row out in full. ``shifts[i]`` is the
+    of ``p`` without its trailing zeros, brought into range, scaled by the
+    radius. A row whose interior is zeros of one sign is kept as ``(first,
+    zero, penultimate, last)``; :attr:`rows` writes every row out in full. ``shifts[i]`` is the
     exponent of the power of two that row ``i`` was multiplied by, 0 for
     every row that stayed within [2**-256, 2**256]. ``readings[i]`` is
     condition ``i + 1`` as read off the table (see :class:`ConditionResult`),
@@ -140,8 +149,7 @@ class StabilityVerdict:
     JURY ``witness`` indexes a condition of its ``table``: the first that
     fails at the outer radius (unstable) or does not hold at the inner one
     (marginal). An ORACLE witness is the spectral radius, with the
-    ``root_set`` and, where it stood in for a singular table, the
-    ``reason``. The evidence fields do not take part in equality.
+    ``root_set``. The evidence fields do not take part in equality.
     """
 
     status: str
@@ -149,39 +157,33 @@ class StabilityVerdict:
     method: str
     table: JuryTable | None = field(default=None, compare=False)
     root_set: RootSet | None = field(default=None, compare=False)
-    reason: str | None = field(default=None, compare=False)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     """Reduce ``p(radius * z)`` down to the three-entry row.
 
-    The input row is ``p``'s coefficients brought into range, then
-    coefficient ``k`` times ``radius**(m - k)``, which leaves a signed zero
-    as it is. For a row ``(a_0, ..., a_m)`` the successor entries are
-    ``a_m * a_(k+1) - a_(m-1-k) * a_0`` for ``k = 0 .. m-1``, four products
-    once the interior is one signed zero. Every condition is computed and
-    read here, once. Raises :class:`SingularTableError` if a row that still
-    needs reduction has a last entry within 1e-12 of zero relative to the
-    input's largest coefficient (input row) or to ``a_m**2 + a_0**2`` of
-    the row it was reduced from, and ``ValueError`` for degree 0.
+    The input row is ``p``'s coefficients without its trailing zeros (down
+    to degree 1) brought into range, then coefficient ``k`` times
+    ``radius**(m - k)``, which leaves a signed zero as it is. For a row
+    ``(a_0, ..., a_m)`` the successor entries are ``a_m * a_(k+1) -
+    a_(m-1-k) * a_0`` for ``k = 0 .. m-1``, four products once the
+    interior is one signed zero. Every condition is computed and read
+    here, once. Raises ``ValueError`` for degree 0.
     """
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError(f"reduction table needs degree >= 1, got {p.degree}")
-    coeffs, shift = _in_range(p.coeffs)
+    coeffs = p.coeffs
     m = len(coeffs) - 1
+    while m > 1 and coeffs[m] == 0.0:  # a root at 0 lies inside at every radius
+        m -= 1
+    coeffs, shift = _in_range(coeffs[:m + 1])
     row = tuple([c * radius ** (m - k) for k, c in enumerate(coeffs)])
     live, shifts = [row], [shift]
-    # a last entry that cancellation left at rounding noise counts as 0
-    scale = max(map(abs, row))
     for width in range(len(row), 3, -1):
-        first, last = row[0], row[-1]
-        if abs(last) <= _SINGULAR_TOL * scale:
-            raise _singular(p, shifts, last)
         # a power of two leaves a signed zero as it is, so rescaling the
         # four live entries of a row rescales the row
         row, shift = _in_range(_reduced(row, width))
-        scale = math.ldexp(last * last + first * first, shift)
         live.append(row)
         shifts.append(shift)
     terms = _condition_terms(live, _UNIT_ROUNDOFF)
@@ -190,19 +192,6 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     if None in readings and False not in readings:
         readings = _precise_readings(coeffs, radius)
     return JuryTable(tuple(live), tuple(shifts), radius, readings, terms)
-
-
-def _singular(p: Polynomial, shifts: list[int], last: float) -> SingularTableError:
-    """The error for the newest row, which ends in ``last``, quoted in the
-    input's units: the input row by its own coefficient, which its rescale
-    may have underflowed, a reduced row with its power of two."""
-    if len(shifts) == 1:
-        where = f"input row ends in {p.coeffs[-1]:.3e}"
-    else:
-        where = f"reduced row {len(shifts) - 1} ends in {last:.3e}"
-        if shifts[-1]:
-            where += f" (row scaled by 2**{shifts[-1]})"
-    return SingularTableError(f"singular table: {where}")
 
 
 def _reduced(row, width: int) -> tuple:
@@ -337,43 +326,37 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify ``p`` by the coefficient conditions at the two radii:
     ``stable`` when every condition holds on the table of
     ``p(INNER_RADIUS * z)``, else ``unstable`` when one fails on that of
-    ``p(OUTER_RADIUS * z)``, else ``marginal``. A singular table delegates
-    to the root-modulus oracle, and the verdict's ``reason`` says why.
+    ``p(OUTER_RADIUS * z)``, else ``marginal``. A ``stable`` or
+    ``marginal`` verdict on a ``p`` whose monic form overflows raises
+    ``ValueError`` instead (see :func:`polynomial.require_monic_form`).
     """
-    try:
-        inner = jury_table(p, INNER_RADIUS)
-        if all(inner.readings):
-            return StabilityVerdict(STABLE, None, JURY, table=inner)
-        outer = jury_table(p, OUTER_RADIUS)
-    except SingularTableError as exc:
-        return replace(oracle_verdict(p), reason=str(exc))
+    inner = jury_table(p, INNER_RADIUS)
+    if all(inner.readings):
+        require_monic_form(p)
+        return StabilityVerdict(STABLE, None, JURY, table=inner)
+    outer = jury_table(p, OUTER_RADIUS)
     if False in outer.readings:
         return StabilityVerdict(UNSTABLE, outer.readings.index(False) + 1, JURY, table=outer)
+    require_monic_form(p)
     unmet = next(index for index, reading in enumerate(inner.readings, start=1) if not reading)
     return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
 
 
 class StableReading(NamedTuple):
-    """What :func:`is_stable` returns: whether the table reads stable, the
-    method that decided, and ``guide``, the margin of the table's condition
-    ``max(m - 1, 1)`` over the size of that condition's operands (see
-    :func:`_guide`), NaN where the oracle decided."""
+    """What :func:`is_stable` returns: whether the table reads stable, and
+    ``guide``, the margin of the table's condition ``max(m - 1, 1)`` over
+    the size of that condition's operands (see :func:`_guide`)."""
 
     holds: bool
-    method: str
-    guide: float = math.nan
+    guide: float
 
 
 def is_stable(p: Polynomial) -> StableReading:
-    """Whether :func:`jury_verdict`'s first table reads ``p`` stable, and
-    the method that decided: JURY, or ORACLE where that table is singular.
-    A JURY reading's ``guide`` comes from the same table.
-    """
-    try:
-        table = jury_table(p, INNER_RADIUS)
-    except SingularTableError:
-        return StableReading(oracle_verdict(p).status == STABLE, ORACLE)
-    return StableReading(all(table.readings), JURY, _guide(table))
+    """Whether :func:`jury_verdict`'s first table reads ``p`` stable, with
+    the guide from the same table. It does not refuse an overflowing
+    monic form: the delay family's is monic already."""
+    table = jury_table(p, INNER_RADIUS)
+    return StableReading(all(table.readings), _guide(table))
 
 
 def _guide(table: JuryTable) -> float:

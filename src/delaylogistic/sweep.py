@@ -3,15 +3,14 @@
 For each delay the non-trivial fixed point is stable on an open interval
 (0, f(tau)) of the reproduction rate. f is located by shrinking a bracket
 whose ends the predicate "stable?" decides; the predicate runs only the
-inner-radius table of :mod:`jury` (the root oracle where that table is
-singular), and its reading is ``(holds, method, guide)``. The guide comes
-from the same table: the margin of its condition ``max(m - 1, 1)`` at
-degree ``m = tau + 1``, which at every delay is the one that fails at f,
-so a secant step on it picks most trial rates, and a midpoint step takes
-over wherever the guide and the verdicts disagree, the oracle gave a NaN
-guide, or the last two reads did not halve the bracket. A rate in the
-marginal band is not stable, so the threshold found is the band's lower
-edge, about 2.2e-12 below f(tau) at every delay.
+inner-radius table of :mod:`jury`, and its reading is ``(holds, guide)``.
+The guide comes from the same table: the margin of its condition
+``max(m - 1, 1)`` at degree ``m = tau + 1``, which at every delay is the
+one that fails at f, so a secant step on it picks most trial rates, and a
+midpoint step takes over wherever the guide and the verdicts disagree or
+the last two reads did not halve the bracket. A rate in the marginal
+band is not stable, so the threshold found is the band's lower edge,
+about 2.2e-12 below f(tau) at every delay.
 
 Seeded by :func:`boundary_table` from the delays before it, a threshold
 takes 2 to 8 tables from delay 2 on (5.9 on average through delay 30, 4.4
@@ -42,17 +41,13 @@ class BracketingError(RuntimeError):
 class BoundaryPoint:
     """Threshold at one delay.
 
-    ``method`` names the tests whose verdicts the search used, joined by
-    "+" in sorted order: "jury" when the coefficient test decided every
-    trial rate, "jury+oracle" when some fell back to the root oracle.
-    ``tables`` counts the trial rates, each one inner-radius table or one
-    oracle read; it is not part of the command output.
+    ``tables`` counts the trial rates, each one inner-radius table; it is
+    not part of the command output.
     """
 
     tau: int
     r_critical: float
     bracket_width: float
-    method: str
     tables: int
 
 
@@ -63,11 +58,8 @@ class BoundaryTable:
 
 
 def is_stable_nontrivial(tau: int, r: float) -> StableReading:
-    """Whether the capacity point at ``tau``, ``r`` is stable, and the
-    method that decided: "jury", or "oracle" where the table is singular.
-    A "jury" reading carries its table's guide, an "oracle" reading NaN
-    (see :class:`jury.StableReading`).
-    """
+    """Whether the capacity point at ``tau``, ``r`` is stable, with its
+    table's guide (see :class:`jury.StableReading`)."""
     return is_stable(char_poly(tau, r, NONTRIVIAL))
 
 
@@ -97,10 +89,10 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
     next rate is the midpoint. The midpoint is also the next rate wherever
     the last two reads did not halve the bracket, which holds a
     right-signed but flat guide to about twice the reads of bisection, and
-    at every other rate, so without guides (the oracle gives none) the loop
-    bisects. It stops once the bracket is no wider than ``tol``, or once
-    its ends are adjacent doubles, so a ``tol`` below the float spacing
-    ends at one ulp. Raises :class:`BracketingError` when no flip exists in range,
+    at every other rate, so with NaN guides the loop bisects. It stops
+    once the bracket is no wider than ``tol``, or once its ends are
+    adjacent doubles, so a ``tol`` below the float spacing ends at one
+    ulp. Raises :class:`BracketingError` when no flip exists in range,
     which for this family signals a defect.
     """
     if tol <= 0:
@@ -108,16 +100,13 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
     step = seed if step is None else step
     if not (seed > 0 and step > 0):
         raise ValueError(f"seed and step must be positive, got {seed!r} and {step!r}")
-    methods_used: set[str] = set()
     tables = 0
 
-    def read(r: float) -> tuple[bool, float]:
-        """The verdict at ``r`` and its guide, NaN where there is none."""
+    def read(r: float) -> StableReading:
+        """The verdict at ``r`` and its guide."""
         nonlocal tables
         tables += 1
-        holds, method, guide = is_stable_nontrivial(tau, r)
-        methods_used.add(method)
-        return holds, guide
+        return is_stable_nontrivial(tau, r)
 
     r = seed
     rising, guide = read(r)
@@ -158,8 +147,7 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
             hi, g_hi = x, guide
         last, latest = latest, (x, guide)
     return BoundaryPoint(tau=tau, r_critical=0.5 * (lo + hi),
-                         bracket_width=hi - lo,
-                         method="+".join(sorted(methods_used)), tables=tables)
+                         bracket_width=hi - lo, tables=tables)
 
 
 def boundary_table(tau_max: int, tol: float = DEFAULT_TOL) -> BoundaryTable:

@@ -66,47 +66,45 @@ def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.ldexp(rows, shift[:, None]) if outside.any() else rows), shift
 
 
+def without_trailing_zeros(coeffs) -> tuple:
+    """``coeffs`` without their trailing zeros (roots at 0), down to degree 1."""
+    m = len(coeffs) - 1
+    while m > 1 and coeffs[m] == 0:
+        m -= 1
+    return tuple(coeffs[:m + 1])
+
+
 def dense_tables(inputs) -> list:
-    """Reduce each coefficient row of ``inputs`` (all of one length) in full.
+    """Reduce each coefficient row of ``inputs`` in full, after dropping its
+    trailing zeros down to degree 1, as the table does.
 
     Every entry of every row is ``last * row[k + 1] - row[m - 1 - k] *
-    first``, computed for all inputs at once. Each result is either the
-    rows the table should hold, as their :func:`bits`, and its shifts, or
-    the message of the ``SingularTableError`` the table should raise.
+    first``, computed for all inputs of one length at once. Each result is
+    the rows the table should hold, as their :func:`bits`, and its shifts.
     """
+    results: list = [None] * len(inputs)
+    by_length: dict[int, list[int]] = {}
+    stripped = [without_trailing_zeros(coeffs) for coeffs in inputs]
+    for i, coeffs in enumerate(stripped):
+        by_length.setdefault(len(coeffs), []).append(i)
+    for indices in by_length.values():
+        for i, result in zip(indices, _dense([stripped[i] for i in indices])):
+            results[i] = result
+    return results
+
+
+def _dense(inputs) -> list:
+    """The full reduction of coefficient rows of one length, each as its
+    rows' :func:`bits` and its shifts."""
     top = np.array(inputs, dtype=float)
     top[top[:, 0] < 0.0] *= -1.0
     row, shift = _rescaled(top)
-    bound = np.abs(row).max(axis=1)
-    live = list(range(len(top)))
-    results: list = [([], []) for _ in live]
+    results: list = [([], []) for _ in inputs]
     while True:
-        for i, entries, s in zip(live, row.astype("<f8"), shift.tolist()):
-            results[i][0].append(entries.tobytes())
-            results[i][1].append(s)
+        for result, entries, s in zip(results, row.astype("<f8"), shift.tolist()):
+            result[0].append(entries.tobytes())
+            result[1].append(s)
         if row.shape[1] <= 3:
             return results
         first, last = row[:, :1], row[:, -1:]
-        singular = np.abs(last[:, 0]) <= 1e-12 * bound
-        if singular.any():
-            for i, value in zip(np.compress(singular, live).tolist(),
-                                last[singular, 0].tolist()):
-                # quoted in the input's units: the input row by its own
-                # coefficient, a rescaled reduced row with its power of two
-                depth = len(results[i][0]) - 1
-                row_shift = results[i][1][-1]
-                if not depth:
-                    message = f"input row ends in {top[i, -1]:.3e}"
-                elif row_shift:
-                    message = (f"reduced row {depth} ends in {value:.3e} "
-                               f"(row scaled by 2**{row_shift})")
-                else:
-                    message = f"reduced row {depth} ends in {value:.3e}"
-                results[i] = f"singular table: {message}"
-            keep = ~singular
-            live = np.compress(keep, live).tolist()
-            row, first, last = row[keep], first[keep], last[keep]
-            if not live:
-                return results
         row, shift = _rescaled(last * row[:, 1:] - row[:, -2::-1] * first)
-        bound = np.ldexp(last[:, 0] * last[:, 0] + first[:, 0] * first[:, 0], shift)

@@ -97,10 +97,7 @@ def test_criterion_4_test_agrees_with_root_oracle():
         if abs(rho - 1.0) <= 1e-6:
             continue
         checked += 1
-        verdict = jury_verdict(p)
-        if verdict.method == "oracle":  # singular-table fallback
-            agreements += 1
-        elif verdict.status == (STABLE if rho < 1.0 else UNSTABLE):
+        if jury_verdict(p).status == (STABLE if rho < 1.0 else UNSTABLE):
             agreements += 1
     elapsed = time.perf_counter() - start
     _report(f"criterion 4: verdict agreement on {agreements}/1000 random polynomials",

@@ -65,16 +65,17 @@ def _run(capsys, argv):
      "266ff19047b6479d25248b8592716d7dd5c8b29d4999ab1a2c8173e619320e3f"),
     # the payload shapes below were pinned from the json.dumps(indent=2)
     # output, before the CLI wrote its documents with its own writer: a
-    # trivial point (singular table: note, root moduli and residual), the
-    # root oracle asked for, a residual that overflows to null, a marginal
-    # verdict from the decimal re-read, and the tables and discretize reports
+    # trivial point (the degree-1 table of lambda - (1 + r), its trailing
+    # zeros dropped), the root oracle asked for, the table of an input with
+    # trailing zeros that span 1e286, a marginal verdict from the decimal
+    # re-read, and the tables and discretize reports
     (["stability", "--tau", "3", "--r", "0.5", "--point", "trivial"],
-     "4764271910e11bd23d0abacd5bef71b29bb87f4fb5ea527fa171397acab924e7"),
+     "cc430341ed91b34286c9907ece4796a0ba6124445dcae1233b716168ceecedd3"),
     (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial",
       "--method", "oracle"],
      "b09f576ed8ede0a222ed89dc9175c053a0363c140f6cd1b2e1bf29dd114d6b9b"),
     (["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"],
-     "9000ecc2fc87cfdb37bd6c6cb8760e6001df001b329158b46d36701e13f0658b"),
+     "c39f251d2c77062ff9cc869f9f8a0e44939eb75c827873e5affaf8b63d4e035f"),
     (["jury", "--coeffs", "1,0,2,0,1"],
      "8975682ccbbd3de8977779345aeba94b44cbc422e1e89038de58d9015268ee02"),
     (["tables", "--format", "json"],
@@ -487,20 +488,20 @@ def test_stability_oracle_payload_shows_the_root_residual(capsys):
     assert 0.0 <= payload["root_residual"] <= 1e-12
 
 
-def test_root_residual_that_overflows_is_null(capsys):
-    # singular tables whose |P(root)| overflows: to nan for roots that span
+def test_root_residual_that_overflows_is_null():
+    # root sets whose |P(root)| overflows: to nan for roots that span
     # 1e295, which strict JSON cannot hold, and, for the second input, to a
     # modulus past the largest double, where abs() of the finite complex
     # value raises OverflowError
-    for coeffs in ("-1e9,1e238,1e295,0,0,0",
-                   "-3.577118588599464e+199,1.0789394941118804e-200,0,"
-                   "1.267842439400661e-300,1.2167013899152557,0,0,0,0,"
-                   "-1.465630494362098e+300,8.530112605216762e+199,0"):
-        code, out, err = _run(capsys, ["jury", f"--coeffs={coeffs}"])
-        assert (code, err) == (0, ""), coeffs
-        payload = json.loads(out, parse_constant=_reject_non_finite)
-        assert payload["verdict"]["method"] == "oracle"
-        assert payload["root_residual"] is None
+    for coeffs in ((-1e9, 1e238, 1e295, 0.0, 0.0, 0.0),
+                   (-3.577118588599464e+199, 1.0789394941118804e-200, 0.0,
+                    1.267842439400661e-300, 1.2167013899152557, 0.0, 0.0, 0.0, 0.0,
+                    -1.465630494362098e+300, 8.530112605216762e+199, 0.0)):
+        verdict = jury.oracle_verdict(polynomial.Polynomial(coeffs))
+        assert not math.isfinite(verdict.root_set.residual), coeffs
+        evidence = cli._evidence_payload(verdict)
+        assert evidence["root_residual"] is None
+        json.loads(cli._json(evidence), parse_constant=_reject_non_finite)
 
 
 def test_root_residual_flags_roots_the_oracle_lost():
@@ -536,15 +537,16 @@ def test_jury_subcommand_low_degree_table_is_the_input_row(capsys):
     assert payload["verdict"]["status"] == "stable"
 
 
-def test_jury_subcommand_singular_table_notes_fallback(capsys):
+def test_jury_subcommand_singular_table_shows_its_rows(capsys):
+    # a zero pivot is a condition that does not hold; the payload shows the
+    # table the witness indexes, as for any other input
     code, out, _ = _run(capsys, ["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS])
     payload = json.loads(out)
     assert code == 0
-    assert payload["table_rows"] is None
-    assert payload["table_shifts"] is None
-    assert "singular" in payload["note"]
-    assert payload["verdict"]["method"] == "oracle"
-    assert "root_moduli" in payload
+    assert payload["verdict"] == {"status": "unstable", "witness": 2, "method": "jury"}
+    assert len(payload["table_rows"]) == len(payload["table_shifts"]) == 5
+    assert payload["table_rows"][3][-1] == 0.0
+    assert list(payload)[-2:] == ["radius", "conditions"]
 
 
 # singular at both radii 1 -+ 1e-12: reduced row 3 ends in an exact zero
@@ -552,23 +554,26 @@ def test_jury_subcommand_singular_table_notes_fallback(capsys):
 _SINGULAR_AT_EVERY_RADIUS = "1,-2,-2,-2,-2,2,1"
 
 
-@pytest.mark.parametrize("coeffs, note", [
-    # the input row is scaled by 2**-664, which takes 1e-300 to 0: the note
-    # quotes the coefficient as given
-    ("1,1e200,0,1e-300", "singular table: input row ends in 1.000e-300"),
+@pytest.mark.parametrize("coeffs, rows, verdict", [
+    # the input row is scaled by 2**-664, which takes 1e-300 to 0, and
+    # the root near -1e200 fails condition 3 on the three-entry row
+    ("1,1e200,0,1e-300", 2, {"status": "unstable", "witness": 3, "method": "jury"}),
     # 2**-40 times the input: reduced row 3 is scaled by 2**350 and ends
     # in an exact 0
     (",".join(repr(2.0 ** -40 * float(c)) for c in _SINGULAR_AT_EVERY_RADIUS.split(",")),
-     "singular table: reduced row 3 ends in 0.000e+00 (row scaled by 2**350)"),
-    # no row is rescaled: the note has no power of two
-    (_SINGULAR_AT_EVERY_RADIUS, "singular table: reduced row 3 ends in 0.000e+00"),
-], ids=["input-row", "rescaled-reduced-row", "reduced-row"])
-def test_singular_note_is_in_the_input_units(capsys, coeffs, note):
-    code, out, _ = _run(capsys, ["jury", "--coeffs", coeffs])
+     5, {"status": "unstable", "witness": 2, "method": "jury"}),
+    (_SINGULAR_AT_EVERY_RADIUS, 5, {"status": "unstable", "witness": 2, "method": "jury"}),
+    # trailing zeros dropped, the table of 1e-310 z + 1 has one condition,
+    # which the root near -1e310 fails
+    ("1e-310,1,0,0", 1, {"status": "unstable", "witness": 1, "method": "jury"}),
+], ids=["input-row", "rescaled-reduced-row", "reduced-row", "tiny-leading"])
+def test_singular_inputs_are_read_by_the_table(capsys, coeffs, rows, verdict):
+    code, out, err = _run(capsys, ["jury", "--coeffs", coeffs])
     payload = json.loads(out)
-    assert code == 0
-    assert payload["verdict"]["method"] == "oracle"
-    assert payload["note"] == f"{note}; verdict taken from the root oracle"
+    assert (code, err) == (0, "")
+    assert payload["verdict"] == verdict
+    assert len(payload["table_rows"]) == rows
+    assert "note" not in payload and "root_moduli" not in payload
 
 
 def test_jury_payload_carries_the_row_shifts(capsys):
@@ -589,40 +594,71 @@ def test_jury_payload_carries_the_row_shifts(capsys):
                         for k in range(m)]
 
 
+_OVERFLOWING_MONIC_FORM = ("1.1624677973629155e-151,1.2727894204325296e-36,"
+                           "9.326117272407438e+250,-5.868211100992056e-81")
+
+
 def test_jury_overflowing_root_oracle_is_numeric_failure(capsys):
-    # the singular table sends this to the oracle, whose monic coefficients
-    # overflow: exit 2 and no output, not a NaN witness, and the message
-    # names the input and the cause before numpy can warn
+    # the monic coefficients overflow, and no condition of the table fails:
+    # the verdict is refused as the root oracle refuses it, with exit 2 and
+    # no output, not a NaN witness, and the message names the input and the
+    # cause before numpy can warn
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = _run(capsys, ["jury", "--coeffs", "1e-310,1,0,0"])
+        code, out, err = _run(capsys, ["jury", "--coeffs", _OVERFLOWING_MONIC_FORM])
     assert code == 2
     assert out == ""
     assert "error" in err
-    assert "(1e-310, 1.0, 0.0, 0.0)" in err and "overflows the monic form" in err
+    assert ("(1.1624677973629155e-151, 1.2727894204325296e-36, 9.326117272407438e+250, "
+            "-5.868211100992056e-81)") in err and "overflows the monic form" in err
     assert [str(w.message) for w in caught] == []
 
 
-def test_stability_notes_why_the_oracle_decided(capsys):
+# coefficients that span 1e-+300: the roots of modulus 8e174, 2e105 and
+# 9e120 leave the circle far behind, but the rescaled table underflows
+# their small coefficients and reads no condition failing
+_WIDE_RANGE_INPUTS = [
+    (1.6893324440860822e-156, 2.328268952063026e-294, -1.0797154990435066e+194,
+     -5.646867859020861e-171),
+    (-3.278603175749932e-168, -1.7081914275642394e-103, 1.6889569391131246e-136,
+     4.081221347078574e-80, 1.1260326919728424e+254, 1.3931956139273072e-123),
+    (1.4334285153481608e-210, 1.628568155988399e-113, 1.1572133898000305e-06,
+     -9.316360846235482e+152, -1.03059647761346e-256),
+]
+
+
+@pytest.mark.parametrize("coeffs", _WIDE_RANGE_INPUTS, ids=["8e174", "2e105", "9e120"])
+def test_a_wide_range_input_exits_2_and_never_reads_marginal(capsys, monkeypatch, coeffs):
+    argv = ["jury", "--coeffs=" + ",".join(map(repr, coeffs))]
+    counts = _count_calls(monkeypatch, [(polynomial, "roots")])
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "overflows the monic form" in err
+    assert counts["roots"] == 0
+    # without the refusal the table would read marginal
+    monkeypatch.setattr(jury, "require_monic_form", lambda p: None)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(out)["verdict"]["status"] == "marginal"
+
+
+def test_stability_trivial_point_is_decided_by_the_table(capsys):
+    # lambda**12 (lambda - (1 + r)) at r = -1 is lambda**13: its table is
+    # that of lambda, whose one condition holds
     code, out, _ = _run(capsys, ["stability", "--tau", "12", "--r", "-1",
                                  "--point", "trivial"])
     payload = json.loads(out)
     assert code == 0
-    assert payload["verdict"]["method"] == "oracle"
-    assert payload["note"].startswith("singular table: input row")
-    assert list(payload)[-3:] == ["note", "root_moduli", "root_residual"]
-    for argv in (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"],
-                 ["stability", "--tau", "12", "--r", "-1", "--point", "trivial",
-                  "--method", "oracle"]):
-        code, out, _ = _run(capsys, argv)
-        assert code == 0
-        assert "note" not in json.loads(out)
+    assert payload["verdict"] == {"status": "stable", "witness": None, "method": "jury"}
+    assert [c["lhs"] for c in payload["conditions"]] == [0.0]
+    assert list(payload)[-2:] == ["radius", "conditions"]
 
 
 # One call of each command the reduction table decides; none calls numpy.
 _TABLE_DECIDED_ARGV = [
     ["jury", "--coeffs", "1,-1,0,0.5"],
+    ["jury", "--coeffs", "1,-5,10,-10,5,-1"],
     ["stability", "--tau", "3", "--r", "0.3", "--point", "nontrivial"],
+    ["stability", "--tau", "12", "--r", "-0.5", "--point", "trivial"],
     ["boundary", "--tau-max", "5"],
     ["tables"],
     ["simulate", "--r", "0.5", "--K", "1", "--tau", "2", "--x0", "0.5", "--steps", "20"],
@@ -684,9 +720,9 @@ def _count_calls(monkeypatch, names):
 
 @pytest.mark.parametrize("argv, tables, roots", [
     (["jury", "--coeffs", "1,-1,0,0.5"], 1, 0),
-    (["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS], 1, 1),
+    (["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS], 2, 0),
     (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"], 1, 0),
-    (["stability", "--tau", "12", "--r", "-1", "--point", "trivial"], 1, 1),
+    (["stability", "--tau", "12", "--r", "-1", "--point", "trivial"], 1, 0),
     (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial",
       "--method", "oracle"], 0, 1),
 ], ids=["jury", "jury-singular", "stability", "stability-trivial",

@@ -1,16 +1,16 @@
 import cmath
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaylogistic import sweep
+from delaylogistic import cli, jury, polynomial, sweep
 from delaylogistic.delay_map import NONTRIVIAL, DelayParams, char_poly, simulate
 from delaylogistic.jury import (
     JURY,
     MARGINAL,
-    ORACLE,
     STABLE,
     UNSTABLE,
     StabilityVerdict,
@@ -41,8 +41,8 @@ def _jury_nontrivial(tau, r):
 
 
 def _oracle_is_stable(p):
-    """``jury.is_stable`` answered by the root oracle alone."""
-    return StableReading(oracle_verdict(p).status == STABLE, ORACLE)
+    """``jury.is_stable`` answered by the root oracle alone, with no guide."""
+    return StableReading(oracle_verdict(p).status == STABLE, math.nan)
 
 
 def _record_reads(monkeypatch):
@@ -75,10 +75,10 @@ REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 
 def test_is_stable_examples():
-    assert is_stable_nontrivial(1, 0.5)[:2] == (True, JURY)
+    assert is_stable_nontrivial(1, 0.5).holds
     assert _jury_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
     for tau, r in [(2, 0.7), (0, 2.5)]:
-        assert is_stable_nontrivial(tau, r)[:2] == (False, JURY)
+        assert not is_stable_nontrivial(tau, r).holds
         assert _jury_nontrivial(tau, r).status == UNSTABLE
 
 
@@ -88,10 +88,10 @@ def test_is_stable_rejects_a_non_finite_rate():
 
 
 def test_stable_range_is_open_at_zero():
-    assert is_stable_nontrivial(2, -1e-3)[:2] == (False, JURY)
+    assert not is_stable_nontrivial(2, -1e-3).holds
     assert _jury_nontrivial(2, -1e-3).status == UNSTABLE
     assert _oracle_nontrivial(2, -1e-3).status == UNSTABLE
-    assert is_stable_nontrivial(2, 0.0)[:2] == (False, ORACLE)  # a zero pivot
+    assert not is_stable_nontrivial(2, 0.0).holds  # a root at 1 besides two at 0
     assert _jury_nontrivial(2, 0.0).status == MARGINAL
     assert _oracle_nontrivial(2, 0.0).status == MARGINAL
 
@@ -101,7 +101,6 @@ def test_critical_r_reproduces_reported_thresholds(tau, expected):
     point = critical_r(tau)
     assert point.r_critical == pytest.approx(expected, abs=1e-5)
     assert point.bracket_width <= sweep.DEFAULT_TOL
-    assert point.method == JURY
 
 
 @pytest.mark.parametrize("tau", [0, 1, 2, 3])
@@ -129,15 +128,14 @@ def test_methods_agree_on_the_threshold(monkeypatch, tau):
     via_jury = critical_r(tau, tol=tol)
     monkeypatch.setattr(sweep, "is_stable", _oracle_is_stable)
     via_oracle = critical_r(tau, tol=tol)
-    assert (via_jury.method, via_oracle.method) == (JURY, ORACLE)
     assert abs(via_jury.r_critical - via_oracle.r_critical) <= 100.0 * tol
 
 
 @pytest.mark.parametrize("tau", [0, 1, 2, 3, 6, 10])
 def test_threshold_is_sharp(tau):
     threshold = critical_r(tau).r_critical
-    assert is_stable_nontrivial(tau, threshold - 1e-6)[:2] == (True, JURY)
-    assert is_stable_nontrivial(tau, threshold + 1e-6)[:2] == (False, JURY)
+    assert is_stable_nontrivial(tau, threshold - 1e-6).holds
+    assert not is_stable_nontrivial(tau, threshold + 1e-6).holds
     assert _jury_nontrivial(tau, threshold + 1e-6).status == UNSTABLE
 
 
@@ -177,7 +175,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 
         def verdict(tau, r, stable=stable, seen=seen):
             seen.append(r)
-            return StableReading(stable, JURY)
+            return StableReading(stable, math.nan)
 
         monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
         with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
@@ -189,7 +187,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 @pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
 def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
     r = fraction * _candidate_threshold(tau)
-    assert is_stable_nontrivial(tau, r)[:2] == (expected == STABLE, JURY)
+    assert is_stable_nontrivial(tau, r).holds == (expected == STABLE)
     verdict = _jury_nontrivial(tau, r)
     assert verdict.method == JURY
     assert verdict.status == expected
@@ -200,7 +198,6 @@ def test_critical_r_matches_closed_form_at_long_delay(monkeypatch, tau):
     reads = _record_reads(monkeypatch)
     point = critical_r(tau)
     assert point.r_critical == pytest.approx(_candidate_threshold(tau), abs=1e-9)
-    assert point.method == JURY
     _assert_read_bracket(point, reads)
 
 
@@ -212,7 +209,6 @@ def test_seeded_search_at_long_delay(monkeypatch, tau):
     point = critical_r(tau, seed=previous.r_critical,
                        step=before.r_critical - previous.r_critical)
     assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9
-    assert point.method == JURY
     _assert_read_bracket(point, reads)
     assert point.tables <= 12
 
@@ -224,7 +220,6 @@ def test_boundary_table_reads_both_ends_of_every_bracket(monkeypatch):
     for tau, point in enumerate(table.points):
         assert point.tau == tau
         assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9, point
-        assert point.method == JURY, point
         _assert_read_bracket(point, reads)
     tables = [point.tables for point in table.points]
     assert max(tables) <= 20
@@ -249,7 +244,6 @@ def test_any_seed_finds_the_unseeded_threshold(tau, seed, step):
         reads = _record_reads(monkeypatch)
         seeded = critical_r(tau, seed=seed, step=step)
     assert abs(seeded.r_critical - unseeded.r_critical) <= sweep.DEFAULT_TOL
-    assert seeded.method == JURY
     _assert_read_bracket(seeded, reads)
 
 
@@ -270,12 +264,11 @@ def test_critical_r_rejects_a_non_positive_seed_or_step():
 @pytest.mark.parametrize("tau", [0, 2, 17])
 def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
     def without_guide(p):
-        holds, method, _ = is_stable(p)
-        return StableReading(holds, method)
+        return StableReading(is_stable(p).holds, math.nan)
 
     def misled(p):
-        holds, method, _ = is_stable(p)
-        return StableReading(holds, method, guide(holds))
+        holds = is_stable(p).holds
+        return StableReading(holds, guide(holds))
 
     monkeypatch.setattr(sweep, "is_stable", without_guide)
     bisected = critical_r(tau)
@@ -296,12 +289,11 @@ def test_a_right_signed_guide_is_safeguarded_by_bisection(monkeypatch, tau, resh
     # reads of bisection and a secant without the safeguard far more; the
     # signs-only guide gives the two latest trials equal guides
     def without_guide(p):
-        holds, method, _ = is_stable(p)
-        return StableReading(holds, method)
+        return StableReading(is_stable(p).holds, math.nan)
 
     def reshaped(p):
-        holds, method, guide = is_stable(p)
-        return StableReading(holds, method, reshape(guide))
+        holds, guide = is_stable(p)
+        return StableReading(holds, reshape(guide))
 
     monkeypatch.setattr(sweep, "is_stable", without_guide)
     bisected = critical_r(tau)
@@ -315,22 +307,36 @@ def test_a_right_signed_guide_is_safeguarded_by_bisection(monkeypatch, tau, resh
 def test_is_stable_reading_carries_the_guide():
     p = char_poly(5, 0.2, NONTRIVIAL)
     reading = is_stable(p)
-    assert reading[:2] == (True, JURY) and 0.0 < reading.guide <= 1.0
+    assert reading.holds and 0.0 < reading.guide <= 1.0
     assert is_stable(char_poly(5, 0.3, NONTRIVIAL)).guide < 0.0
     assert is_stable(char_poly(0, 1.5, NONTRIVIAL)).guide == pytest.approx(0.5 / 1.5)
-    assert math.isnan(is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide)  # the oracle decided
+    # at r = 0 the table of the rest, lambda - 1, gives a guide too: its
+    # one condition misses by the radius, 1 - INNER_RADIUS
+    assert is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide == pytest.approx(-0.5e-12, rel=1e-3)
 
 
-def test_boundary_point_method_names_the_tests_that_decided(monkeypatch):
-    monkeypatch.setattr(sweep, "is_stable", _oracle_is_stable)
-    assert critical_r(2).method == "oracle"
+def test_boundary_point_method_names_the_tests_that_decided(monkeypatch, capsys):
+    # the table decides every trial rate, and no search calls the root
+    # oracle, so the label that the boundary output writes is "jury"
+    def no_roots(p):
+        raise AssertionError(f"the root oracle was called on {p.coeffs!r}")
 
-    # the oracle decides only rates above 0.5; the bracket passes 0.8
+    monkeypatch.setattr(polynomial, "roots", no_roots)
+    monkeypatch.setattr(jury, "roots", no_roots)
+    assert cli.run(["boundary", "--tau-max", "12", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1)[-1] for line in lines[1:-1]] == [JURY] * 13
+    assert cli.run(["boundary", "--tau-max", "3"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [point["method"] for point in points] == [JURY] * 4
+
+    # a search whose reader leaves the guide out, here the root oracle above
+    # rate 0.5, still finds the threshold
+    monkeypatch.undo()
     monkeypatch.setattr(
         sweep, "is_stable",
         lambda p: _oracle_is_stable(p) if p.coeffs[-1] > 0.5 else is_stable(p))
     point = critical_r(2)
-    assert point.method == "jury+oracle"
     assert point.r_critical == pytest.approx(_candidate_threshold(2), abs=1e-9)
 
 
@@ -338,7 +344,6 @@ def test_critical_r_is_the_closed_form_and_strictly_decreasing():
     points = [critical_r(tau) for tau in range(201)]
     for tau, point in enumerate(points):
         assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9, tau
-        assert point.method == JURY, tau
     found = [point.r_critical for point in points]
     assert all(later < earlier for earlier, later in zip(found, found[1:]))
 

@@ -4,13 +4,13 @@ Every input is a flag (no config files, no environment), so a run is fully
 reproducible from its argv. Exit codes: 0 success (``-h`` too), 1 usage
 error (also an ``--out`` path that cannot be written), 2 numeric failure
 (bracketing failure, degenerate or out-of-range input, such as an
-``r * h`` that overflows in ``discretize``, or a ``jury`` input whose monic
-form overflows and whose table reads no condition failing).
+``r * h`` that overflows in ``discretize``, or a ``jury`` input of degree 0
+or with a zero leading coefficient).
 
 Unless ``stability --method oracle`` asks for the root oracle, which alone
 loads numpy, every `stability` and `jury` verdict comes from the reduction
 table, which reads any polynomial of degree >= 1 (its trailing zeros
-dropped).
+dropped), however widely its coefficients range.
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls, so a process may call it any number of times. An
@@ -215,7 +215,7 @@ def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     """
     if verdict.table is not None:
         return {"radius": verdict.table.radius,
-                "conditions": [c._asdict() for c in jury.jury_conditions(verdict.table)]}
+                "conditions": jury.jury_conditions(verdict.table)}
     roots = verdict.root_set
     return {"root_moduli": sorted((abs(z) for z in roots.roots), reverse=True),
             "root_residual": roots.residual if math.isfinite(roots.residual) else None}

@@ -36,19 +36,15 @@ inside the unit circle. The verdict runs the table of
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
 condition fails, else ``marginal``. :func:`jury_table` computes every
 condition once and keeps the terms and readings. A condition whose margin
-lies within its rounding estimate is neither; if no condition fails, all
-are read again at 60 decimal digits, which leaves undecided only a margin
-within that arithmetic's estimate, such as a condition that a root of
-high multiplicity on the circle cancels. Where one fails, the rest stay
-as read in doubles, so any of them may be undecided.
-
-A verdict of ``stable`` or ``marginal`` on a polynomial whose monic form
-overflows a double is refused with the root oracle's ``ValueError``
-(:func:`polynomial.require_monic_form`): such a table has lost its small
-entries to underflow and may read a root of modulus 1e80 or more as
-marginal. A condition that fails still reads ``unstable``. The root
-oracle itself (:func:`oracle_verdict`) is never called by the table's
-verdicts; it serves ``--method oracle`` and the tests.
+lies within its rounding estimate is neither; if no condition fails, or if
+bringing the input row into range or scaling it by the radius may have
+flushed a non-zero coefficient to 0 or a subnormal, all are read again at
+60 decimal digits from the unrounded input, so every input of degree >= 1
+gets a verdict. That leaves undecided only a margin within the decimal
+estimate, such as a condition that a root of high multiplicity on the
+circle cancels. Where one fails and nothing was flushed, the rest stay as
+read in doubles, so any of them may be undecided. No table verdict calls
+the root oracle (:func:`oracle_verdict`).
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .polynomial import Polynomial, RootSet, normalize_leading, require_monic_form, roots
+from .polynomial import Polynomial, RootSet, normalize_leading, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -93,10 +89,12 @@ class JuryTable:
     radius. A row whose interior is zeros of one sign is kept as ``(first,
     zero, penultimate, last)``; :attr:`rows` writes every row out in full. ``shifts[i]`` is the
     exponent of the power of two that row ``i`` was multiplied by, 0 for
-    every row that stayed within [2**-256, 2**256]. ``readings[i]`` is
-    condition ``i + 1`` as read off the table (see :class:`ConditionResult`),
-    one per degree, and ``terms[i]`` its ``(lhs, rhs, margin, rounding)``,
-    not compared.
+    every row that stayed within [2**-256, 2**256].
+
+    ``readings[i]`` is condition ``i + 1`` as read off the table (see
+    :func:`jury_conditions`), and ``terms[i]`` its ``(lhs, rhs, margin,
+    rounding)`` in doubles; ``decimal_terms`` are those of the decimal
+    re-read where it gave the readings, else None. Terms are not compared.
     """
 
     live: tuple[tuple[float, ...], ...]
@@ -104,6 +102,7 @@ class JuryTable:
     radius: float
     readings: tuple[bool | None, ...]
     terms: tuple[tuple[float, ...], ...] = field(compare=False)
+    decimal_terms: tuple[tuple, ...] | None = field(default=None, compare=False)
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -116,27 +115,6 @@ class JuryTable:
                 row = (first,) + (zero,) * (width - 3) + (penultimate, last)
             rows.append(row)
         return tuple(rows)
-
-
-class ConditionResult(NamedTuple):
-    """One strict inequality, 1-indexed, with its signed slack in doubles:
-    ``margin`` is ``rhs - lhs`` for condition 1, ``|a_m| < a_0``, and
-    ``lhs - rhs`` after it, positive where the inequality holds.
-
-    ``satisfied`` is the table's reading: True if it holds, False if it
-    fails, None where its margin is within its rounding estimate. Where
-    none fails but one is within, all are read at 60 decimal digits, which
-    leaves None only within that arithmetic's estimate; where one fails,
-    the others stay as read in doubles. Its ``_asdict()`` is the condition
-    record of the payloads.
-    """
-
-    index: int
-    description: str
-    lhs: float
-    rhs: float
-    satisfied: bool | None
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -177,8 +155,9 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     m = len(coeffs) - 1
     while m > 1 and coeffs[m] == 0.0:  # a root at 0 lies inside at every radius
         m -= 1
-    coeffs, shift = _in_range(coeffs[:m + 1])
-    row = tuple([c * radius ** (m - k) for k, c in enumerate(coeffs)])
+    coeffs = coeffs[:m + 1]
+    in_range, shift = _in_range(coeffs)
+    row = tuple([c * radius ** (m - k) for k, c in enumerate(in_range)])
     live, shifts = [row], [shift]
     for width in range(len(row), 3, -1):
         # a power of two leaves a signed zero as it is, so rescaling the
@@ -188,10 +167,15 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
         shifts.append(shift)
     terms = _condition_terms(live, _UNIT_ROUNDOFF)
     readings = _readings(terms)
-    # within its estimate a sign is noise: where none fails, read all again
-    if None in readings and False not in readings:
-        readings = _precise_readings(coeffs, radius)
-    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms)
+    decimal_terms = None
+    # within its estimate a sign is noise: where none fails, read all again,
+    # as, whatever the doubles read, where the input row may have lost a
+    # coefficient to 0 or a subnormal: the smallest, times 2**shift and the
+    # radius's smallest power, below twice the smallest normal double
+    smallest = math.ldexp(min(map(abs, filter(None, coeffs))), shifts[0]) * min(radius, 1.0) ** m
+    if (None in readings and False not in readings) or smallest < 2.0 ** -1021:
+        readings, decimal_terms = _precise_readings(coeffs, radius)
+    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms, decimal_terms)
 
 
 def _reduced(row, width: int) -> tuple:
@@ -226,17 +210,33 @@ def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
-def jury_conditions(table: JuryTable) -> list[ConditionResult]:
+def jury_conditions(table: JuryTable) -> list[dict]:
     """The ``degree`` stability inequalities of ``table``, one per row and
-    one more on the three-entry row (see :func:`_condition_terms`), with
-    the terms and readings the table carries."""
+    one more on the three-entry row (see :func:`_condition_terms`), as the
+    records the payloads print: 1-based ``index``, ``description``,
+    ``lhs``, ``rhs``, the reading ``satisfied`` (None where undecided) and
+    ``margin``, positive where the inequality holds. The numbers are the
+    terms of the arithmetic that read the table, doubles or decimals."""
     m = len(table.terms)
     tests = ["|a_m| < a_0"] + [f"|last| > |first| on reduced row {k}" for k in range(1, m - 1)]
     if m > 1:
         tests.append("|first + last| > |middle| on the three-entry row")
-    return [ConditionResult(index, test, lhs, rhs, reading, margin)
+    terms = table.terms if table.decimal_terms is None else _as_doubles(table.decimal_terms)
+    return [{"index": index, "description": test, "lhs": lhs, "rhs": rhs,
+             "satisfied": reading, "margin": margin}
             for index, (test, (lhs, rhs, margin, _), reading)
-            in enumerate(zip(tests, table.terms, table.readings), start=1)]
+            in enumerate(zip(tests, terms, table.readings), start=1)]
+
+
+def _as_doubles(terms) -> list[list[float]]:
+    """Each condition of the decimal ``terms`` times the power of ten that
+    brings ``max(lhs, rhs)`` into [1, 10), as a decimal row may lie far
+    outside a double's range, rounded once to doubles."""
+    from decimal import localcontext
+    with localcontext() as context:
+        context.prec = _PRECISE_DIGITS  # so that scaleb rounds no digit away
+        return [[float(x.scaleb(-max(condition[:2]).adjusted())) for x in condition]
+                for condition in terms]
 
 
 def _condition_terms(rows, unit) -> tuple[tuple, ...]:
@@ -285,10 +285,12 @@ def _readings(terms) -> tuple[bool | None, ...]:
                   for _, _, margin, rounding in terms])
 
 
-def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[bool | None, ...]:
-    """The conditions of the table of ``coeffs`` at ``radius`` read at
-    ``_PRECISE_DIGITS`` digits (unit roundoff ``10**(1 - digits)``), from
-    the unrounded input row, built with one running product of the radius."""
+def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[tuple, tuple]:
+    """The readings and the terms of the conditions of the table of
+    ``coeffs``, the input without its trailing zeros, at ``radius``, read at
+    ``_PRECISE_DIGITS`` digits (unit roundoff ``10**(1 - digits)``). The
+    input row is the unrounded ``coeffs`` scaled by one running product of
+    the radius; a decimal holds any double's exponent, and its squares."""
     from decimal import Decimal, InvalidOperation, localcontext  # imported only when needed
     with localcontext() as context:
         context.prec = _PRECISE_DIGITS
@@ -306,7 +308,8 @@ def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[bool | 
             if not -1000 <= exponent <= 1000:
                 row = [c.scaleb(-exponent) for c in row]
             rows.append(row)
-        return _readings(_condition_terms(rows, Decimal(10) ** (1 - _PRECISE_DIGITS)))
+        terms = _condition_terms(rows, Decimal(10) ** (1 - _PRECISE_DIGITS))
+        return _readings(terms), terms
 
 
 def classify_modulus(modulus: float) -> str:
@@ -326,18 +329,15 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify ``p`` by the coefficient conditions at the two radii:
     ``stable`` when every condition holds on the table of
     ``p(INNER_RADIUS * z)``, else ``unstable`` when one fails on that of
-    ``p(OUTER_RADIUS * z)``, else ``marginal``. A ``stable`` or
-    ``marginal`` verdict on a ``p`` whose monic form overflows raises
-    ``ValueError`` instead (see :func:`polynomial.require_monic_form`).
+    ``p(OUTER_RADIUS * z)``, else ``marginal``. Every ``p`` of degree >= 1
+    gets a verdict, however widely its coefficients range.
     """
     inner = jury_table(p, INNER_RADIUS)
     if all(inner.readings):
-        require_monic_form(p)
         return StabilityVerdict(STABLE, None, JURY, table=inner)
     outer = jury_table(p, OUTER_RADIUS)
     if False in outer.readings:
         return StabilityVerdict(UNSTABLE, outer.readings.index(False) + 1, JURY, table=outer)
-    require_monic_form(p)
     unmet = next(index for index, reading in enumerate(inner.readings, start=1) if not reading)
     return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
 
@@ -353,8 +353,7 @@ class StableReading(NamedTuple):
 
 def is_stable(p: Polynomial) -> StableReading:
     """Whether :func:`jury_verdict`'s first table reads ``p`` stable, with
-    the guide from the same table. It does not refuse an overflowing
-    monic form: the delay family's is monic already."""
+    the guide from the same table."""
     table = jury_table(p, INNER_RADIUS)
     return StableReading(all(table.readings), _guide(table))
 
@@ -363,7 +362,8 @@ def _guide(table: JuryTable) -> float:
     """The margin of condition ``max(m - 1, 1)`` of ``table`` over its
     operands' size, in [-1, 1]: positive where it holds. For the delay
     family it is the condition that fails where a root pair crosses the
-    circle at f(tau), so a root of the guide in r places f.
+    circle at f(tau), so a root of the guide in r places f. It is read off
+    the double terms, also where the decimal re-read gave the readings.
     """
     lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
     size = lhs + rhs

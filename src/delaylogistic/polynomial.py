@@ -6,8 +6,7 @@ eigenvalues of the companion matrix, so the oracle shares no code with
 the coefficient-based stability tests that it cross-checks. Only
 :func:`roots` needs numpy, and it imports it on its first call; only the
 root oracle calls it, so no verdict of the coefficient table loads it.
-Only :func:`roots` uses :func:`evaluate`, for its residual. The table's
-verdicts and the roots share one refusal, :func:`require_monic_form`.
+Only :func:`roots` uses :func:`evaluate`, for its residual.
 """
 
 from __future__ import annotations
@@ -85,32 +84,23 @@ def normalize_leading(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(-c for c in p.coeffs))
 
 
-def require_monic_form(p: Polynomial) -> None:
-    """Raise ``ValueError`` where dividing ``p`` (degree >= 1) by its
-    leading coefficient overflows a double. The companion matrix then
-    overflows, and the reduction table, brought into range by its largest
-    coefficient, has lost the small ones to underflow, so neither can
-    show that every root is small."""
-    if not math.isfinite(max(map(abs, p.coeffs[1:])) / abs(p.coeffs[0])):
-        raise ValueError(f"cannot decide {p.coeffs!r}: dividing by the leading "
-                         f"coefficient {p.coeffs[0]!r} overflows the monic form")
-
-
 def roots(p: Polynomial) -> RootSet:
     """Find all complex roots as the eigenvalues of the companion matrix.
 
     A direct solve with ``numpy.roots``: trailing zero coefficients come
     out as exact zero roots. A leading coefficient so small that the
-    monic coefficients overflow raises ``ValueError`` (see
-    :func:`require_monic_form`), a zero one
-    :class:`DegeneratePolynomialError`.
+    monic coefficients overflow a double raises ``ValueError`` before
+    numpy can warn, since the companion matrix would overflow; a zero one
+    raises :class:`DegeneratePolynomialError`.
     """
     import numpy as np
 
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    require_monic_form(p)
+    if not math.isfinite(max(map(abs, p.coeffs[1:])) / p.coeffs[0]):
+        raise ValueError(f"cannot decide {p.coeffs!r}: dividing by the leading "
+                         f"coefficient {p.coeffs[0]!r} overflows the monic form")
     found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
     # once per distinct root: numpy.roots repeats a k-fold zero root k
     # times, and the trivial point's k = tau would cost O(tau**2)

@@ -555,8 +555,9 @@ _SINGULAR_AT_EVERY_RADIUS = "1,-2,-2,-2,-2,2,1"
 
 
 @pytest.mark.parametrize("coeffs, rows, verdict", [
-    # the input row is scaled by 2**-664, which takes 1e-300 to 0, and
-    # the root near -1e200 fails condition 3 on the three-entry row
+    # the input row is scaled by 2**-664, which takes 1e-300 to 0, so the
+    # table is read again in decimal from the input, and the root near
+    # -1e200 fails condition 3 on the three-entry row
     ("1,1e200,0,1e-300", 2, {"status": "unstable", "witness": 3, "method": "jury"}),
     # 2**-40 times the input: reduced row 3 is scaled by 2**350 and ends
     # in an exact 0
@@ -598,25 +599,37 @@ _OVERFLOWING_MONIC_FORM = ("1.1624677973629155e-151,1.2727894204325296e-36,"
                            "9.326117272407438e+250,-5.868211100992056e-81")
 
 
-def test_jury_overflowing_root_oracle_is_numeric_failure(capsys):
-    # the monic coefficients overflow, and no condition of the table fails:
-    # the verdict is refused as the root oracle refuses it, with exit 2 and
-    # no output, not a NaN witness, and the message names the input and the
-    # cause before numpy can warn
+def _records_agree_with_their_margins(records) -> bool:
+    """Whether every decided condition record has the sign of its margin."""
+    return all(c["satisfied"] is None or (c["margin"] > 0 if c["satisfied"] else c["margin"] < 0)
+               for c in records)
+
+
+def test_jury_overflowing_root_oracle_is_numeric_failure(capsys, monkeypatch):
+    # the monic coefficients overflow: the root oracle refuses the input
+    # with ValueError, naming the input and the cause before numpy can
+    # warn. The table needs no monic form: its input row loses the small
+    # coefficients, so it is read again in decimal from the unrounded
+    # input, which fails condition 1 at the root of modulus 9e200
+    p = polynomial.Polynomial(tuple(map(float, _OVERFLOWING_MONIC_FORM.split(","))))
+    counts = _count_calls(monkeypatch, [(polynomial, "roots")])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, ["jury", "--coeffs", _OVERFLOWING_MONIC_FORM])
-    assert code == 2
-    assert out == ""
-    assert "error" in err
+        assert (code, err, counts["roots"]) == (0, "", 0)
+        with pytest.raises(ValueError, match="overflows the monic form") as refused:
+            polynomial.roots(p)
     assert ("(1.1624677973629155e-151, 1.2727894204325296e-36, 9.326117272407438e+250, "
-            "-5.868211100992056e-81)") in err and "overflows the monic form" in err
+            "-5.868211100992056e-81)") in str(refused.value)
     assert [str(w.message) for w in caught] == []
+    payload = json.loads(out)
+    assert payload["verdict"] == {"status": "unstable", "witness": 1, "method": "jury"}
+    assert _records_agree_with_their_margins(payload["conditions"])
 
 
 # coefficients that span 1e-+300: the roots of modulus 8e174, 2e105 and
-# 9e120 leave the circle far behind, but the rescaled table underflows
-# their small coefficients and reads no condition failing
+# 9e120 leave the circle far behind, but the rescaled double table
+# underflows their small coefficients and reads no condition failing
 _WIDE_RANGE_INPUTS = [
     (1.6893324440860822e-156, 2.328268952063026e-294, -1.0797154990435066e+194,
      -5.646867859020861e-171),
@@ -628,17 +641,22 @@ _WIDE_RANGE_INPUTS = [
 
 
 @pytest.mark.parametrize("coeffs", _WIDE_RANGE_INPUTS, ids=["8e174", "2e105", "9e120"])
-def test_a_wide_range_input_exits_2_and_never_reads_marginal(capsys, monkeypatch, coeffs):
+def test_a_wide_range_input_reads_unstable_and_never_marginal(capsys, monkeypatch, coeffs):
+    # the decimal re-read starts from the unrounded input, and fails a
+    # condition the doubles lost, with neither a monic form nor the root
+    # oracle
     argv = ["jury", "--coeffs=" + ",".join(map(repr, coeffs))]
     counts = _count_calls(monkeypatch, [(polynomial, "roots")])
-    code, out, err = _run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert "overflows the monic form" in err
-    assert counts["roots"] == 0
-    # without the refusal the table would read marginal
-    monkeypatch.setattr(jury, "require_monic_form", lambda p: None)
-    code, out, _ = _run(capsys, argv)
-    assert code == 0 and json.loads(out)["verdict"]["status"] == "marginal"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, argv)
+    assert (code, err, counts["roots"]) == (0, "", 0)
+    assert [str(w.message) for w in caught] == []
+    payload = json.loads(out)
+    assert payload["verdict"]["status"] == "unstable"
+    assert _records_agree_with_their_margins(payload["conditions"])
+    outer = jury.jury_table(polynomial.Polynomial(coeffs), jury.OUTER_RADIUS)
+    assert outer.decimal_terms is not None and False not in jury._readings(outer.terms)
 
 
 def test_stability_trivial_point_is_decided_by_the_table(capsys):

@@ -16,7 +16,6 @@ from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
     StabilityVerdict,
-    _in_range,
     _precise_readings,
     _readings,
     is_stable,
@@ -82,8 +81,15 @@ def test_table_singular_when_intermediate_row_ends_near_zero():
     # |last| = |first| on reduced row 1: condition 2 is exactly 0, and the
     # cancellation leaves every later condition undecided, in decimal too
     assert table.readings == (True, None, None, None, None)
+    # the records carry the decimal terms that read them, each condition
+    # scaled by the power of ten that brings its larger operand into
+    # [1, 10): condition 3's 0 against 0.28125 reads 0 against 2.8125
+    assert table.decimal_terms is not None
     conditions = jury_conditions(table)
-    assert conditions[2].lhs == 0.0 and conditions[2].margin == -0.28125
+    assert (conditions[2]["lhs"], conditions[2]["rhs"], conditions[2]["margin"]) == (
+        0.0, 2.8125, -2.8125)
+    assert (conditions[1]["lhs"], conditions[1]["rhs"], conditions[1]["margin"]) == (
+        7.5, 7.5, 0.0)
 
 
 def test_decimal_reread_of_an_exact_cancellation_reads_undecided():
@@ -152,7 +158,7 @@ def test_low_degree_verdict_is_independent_of_the_input_scale(coeffs, scale):
     verdict = jury_verdict(p)
     assert verdict == jury_verdict(Polynomial(coeffs))
     assert verdict.status == STABLE and verdict.method == "jury"
-    assert all(math.isfinite(c.margin) for c in jury_conditions(verdict.table))
+    assert all(math.isfinite(c["margin"]) for c in jury_conditions(verdict.table))
 
 
 def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
@@ -174,8 +180,8 @@ def test_pivot_left_at_rounding_noise_by_cancellation_is_singular():
 
 def test_conditions_all_satisfied_inside_the_stable_range():
     conditions = jury_conditions(jury_table(Polynomial((1.0, -1.0, 0.0, 0.5))))
-    assert [c.index for c in conditions] == [1, 2, 3]
-    assert all(c.satisfied for c in conditions)
+    assert [c["index"] for c in conditions] == [1, 2, 3]
+    assert all(c["satisfied"] for c in conditions)
 
 
 def test_conditions_reduced_row_failure_outside_the_range():
@@ -183,18 +189,18 @@ def test_conditions_reduced_row_failure_outside_the_range():
     assert table.readings == (True, False, True)  # read where it is built
     conditions = jury_conditions(table)
     failed = conditions[1]
-    assert failed.index == 2
-    assert failed.lhs == pytest.approx(abs(0.7 ** 2 - 1.0))
-    assert failed.rhs == pytest.approx(0.7)
-    assert not failed.satisfied
-    assert conditions[0].satisfied and conditions[2].satisfied
+    assert failed["index"] == 2
+    assert failed["lhs"] == pytest.approx(abs(0.7 ** 2 - 1.0))
+    assert failed["rhs"] == pytest.approx(0.7)
+    assert not failed["satisfied"]
+    assert conditions[0]["satisfied"] and conditions[2]["satisfied"]
 
 
 def test_conditions_degree_one_only_input_row_check():
     conditions = jury_conditions(jury_table(Polynomial((1.0, 0.999))))
-    assert [c.index for c in conditions] == [1]
-    assert conditions[0].lhs == pytest.approx(0.999)
-    assert conditions[0].margin == pytest.approx(0.001)
+    assert [c["index"] for c in conditions] == [1]
+    assert conditions[0]["lhs"] == pytest.approx(0.999)
+    assert conditions[0]["margin"] == pytest.approx(0.001)
     assert jury_verdict(Polynomial((1.0, 0.999))).status == STABLE
 
 
@@ -278,8 +284,62 @@ def test_decided_conditions_read_the_exact_schur_cohn_signs():
         seen["degree 2"] += len(coeffs) == 3
         seen["four entries"] += any(len(row) == 4 < len(table.live[0]) - i
                                     for i, row in enumerate(table.live))
-        seen["re-read"] += _reread(_readings(table.terms))
+        seen["re-read"] += table.decimal_terms is not None
     assert min(seen.values()) >= 50, seen
+
+
+def _wide_range_polynomials() -> list[tuple[float, ...]]:
+    """600 polynomials of degree 1..6, each coefficient +-10**U(-300, 300),
+    so that many span more than a double's range: bringing the input row
+    into range, by its largest coefficient, underflows the small ones."""
+    rng = random.Random(1)
+    return [tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)
+                  for _ in range(rng.randint(1, 6) + 1))
+            for _ in range(600)]
+
+
+def _exact_conditions(coeffs, radius: float) -> list[bool]:
+    """Whether each condition of the table of ``p(radius z)`` holds, by the
+    exact Schur-Cohn signs, ``coeffs`` being those of ``p``, the leading
+    one positive and the last non-zero."""
+    s, m = Fraction(radius), len(coeffs) - 1
+    found = deltas([Fraction(c) * s ** (m - k) for k, c in enumerate(coeffs)])
+    return [found[0] < 0] + [delta > 0 for delta in found[1:]]
+
+
+def test_wide_range_inputs_read_the_exact_verdict_with_records_that_agree():
+    # no input is refused. Every verdict and witness is the exact one: stable
+    # where every condition holds at the inner radius, else unstable at the
+    # first that fails at the outer one, else marginal. And every decided
+    # record has the sign of its own margin, the re-read ones too
+    seen = {STABLE: 0, UNSTABLE: 0, "lost a coefficient": 0, "re-read": 0}
+    for coeffs in _wide_range_polynomials():
+        p = normalize_leading(Polynomial(coeffs))
+        inner = _exact_conditions(p.coeffs, INNER_RADIUS)
+        if all(inner):
+            expected = (STABLE, None)
+        else:
+            outer = _exact_conditions(p.coeffs, OUTER_RADIUS)
+            expected = ((UNSTABLE, outer.index(False) + 1) if False in outer
+                        else (MARGINAL, inner.index(False) + 1))
+        verdict = jury_verdict(p)
+        assert (verdict.status, verdict.witness) == expected, coeffs
+        for record in jury_conditions(verdict.table):
+            reading, margin = record["satisfied"], record["margin"]
+            assert reading is None or (margin > 0.0 if reading else margin < 0.0), (
+                coeffs, record)
+        seen[verdict.status] += 1
+        seen["lost a coefficient"] += min(map(abs, verdict.table.live[0])) < 2.0 ** -1022
+        seen["re-read"] += verdict.table.decimal_terms is not None
+    assert min(seen.values()) >= 50, seen
+    # the double table loses 1e-300 and reads condition 3 undecided; the
+    # decimal re-read of the input reads the root near -1e200 failing it
+    verdict = jury_verdict(Polynomial((1.0, 1e200, 0.0, 1e-300)))
+    assert (verdict.status, verdict.witness) == (UNSTABLE, 3)
+    assert verdict.table.live[0][-1] == 0.0
+    assert _readings(verdict.table.terms)[2] is None
+    assert [record["satisfied"] for record in jury_conditions(verdict.table)] == [
+        True, True, False]
 
 
 def test_verdict_stable_inside_delay_one_range():
@@ -331,7 +391,7 @@ def test_verdict_reads_a_singular_table_by_its_conditions():
     for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
         table = jury_table(p, radius)
         assert table.rows[3][-1] == 0.0
-        assert jury_conditions(table)[3].satisfied is not True
+        assert jury_conditions(table)[3]["satisfied"] is not True
     verdict = jury_verdict(p)
     assert (verdict.status, verdict.witness, verdict.method) == (UNSTABLE, 2, "jury")
     assert verdict.table == jury_table(p, OUTER_RADIUS) and verdict.root_set is None
@@ -348,12 +408,12 @@ def test_table_verdict_carries_its_table_and_conditions():
     assert verdict.table.radius == OUTER_RADIUS
     conditions = jury_conditions(verdict.table)
     assert conditions == jury_conditions(jury_table(p, OUTER_RADIUS))
-    assert conditions[verdict.witness - 1].satisfied is False
+    assert conditions[verdict.witness - 1]["satisfied"] is False
     assert verdict.root_set is None
     assert not hasattr(verdict, "conditions")
     marginal = jury_verdict(Polynomial((1.0, -1.0, 1.0)))
     assert marginal.status == MARGINAL and marginal.table.radius == INNER_RADIUS
-    assert jury_conditions(marginal.table)[marginal.witness - 1].satisfied is not True
+    assert jury_conditions(marginal.table)[marginal.witness - 1]["satisfied"] is not True
     low = jury_verdict(Polynomial((1.0, 0.999)))
     assert low.status == STABLE and low.table.radius == INNER_RADIUS
     assert low.table.rows == ((INNER_RADIUS, 0.999),)
@@ -544,11 +604,11 @@ def _verdict_from_the_records(p: Polynomial):
     marginal at the first inner record that does not hold; ``records`` are
     those of the table the witness indexes."""
     inner = jury_conditions(jury_table(p, INNER_RADIUS))
-    unmet = next((c.index for c in inner if c.satisfied is not True), None)
+    unmet = next((c["index"] for c in inner if c["satisfied"] is not True), None)
     if unmet is None:
         return STABLE, None, inner
     outer = jury_conditions(jury_table(p, OUTER_RADIUS))
-    failed = next((c.index for c in outer if c.satisfied is False), None)
+    failed = next((c["index"] for c in outer if c["satisfied"] is False), None)
     return (MARGINAL, unmet, inner) if failed is None else (UNSTABLE, failed, outer)
 
 
@@ -642,15 +702,20 @@ def test_verdict_follows_the_records_across_input_scales():
 
 
 def _input_coeffs(p: Polynomial) -> tuple[float, ...]:
-    """The coefficients the table of ``p`` starts from: those of ``p``
-    without its trailing zeros, brought into range."""
-    return _in_range(without_trailing_zeros(normalize_leading(p).coeffs))[0]
+    """The coefficients the decimal re-read of ``p``'s table starts from:
+    those of ``p``, its leading one made positive, without its trailing
+    zeros, unrounded."""
+    return without_trailing_zeros(normalize_leading(p).coeffs)
 
 
-def _reread(doubles) -> bool:
-    """Whether jury_table re-reads in decimal a table whose double
-    readings are ``doubles``."""
-    return None in doubles and False not in doubles
+def _reread(table, coeffs) -> bool:
+    """Whether jury_table re-reads in decimal ``table``, that of the input
+    ``coeffs``: where its double readings leave one undecided and none
+    failing, or where its input row holds a 0 or a subnormal in place of a
+    non-zero coefficient, whatever the doubles read."""
+    doubles = _readings(table.terms)
+    lost = any(c != 0.0 and abs(x) < 2.0 ** -1022 for c, x in zip(coeffs, table.live[0]))
+    return lost or (None in doubles and False not in doubles)
 
 
 def test_decided_double_readings_agree_with_the_decimal_readings():
@@ -664,8 +729,10 @@ def test_decided_double_readings_agree_with_the_decimal_readings():
         table = jury_table(p, INNER_RADIUS)
         doubles = _readings(table.terms)
         # where jury_table read the table in decimal, it carries those readings
-        precise = (table.readings if _reread(doubles)
-                   else _precise_readings(_input_coeffs(p), INNER_RADIUS))
+        reread = _reread(table, _input_coeffs(p))
+        assert reread == (table.decimal_terms is not None), p.coeffs
+        precise = (table.readings if reread
+                   else _precise_readings(_input_coeffs(p), INNER_RADIUS)[0])
         assert len(precise) == len(doubles), p.coeffs
         for index, (double, decimal) in enumerate(zip(doubles, precise), start=1):
             if double is not None:
@@ -688,12 +755,12 @@ def test_decimal_readings_keep_their_decided_signs_at_twice_the_digits(monkeypat
     for p in polys:
         for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
             table = jury_table(p, radius)
-            if not _reread(_readings(table.terms)):
+            if not _reread(table, _input_coeffs(p)):
                 continue
             reread += 1
             with monkeypatch.context() as patch:
                 patch.setattr(jury, "_PRECISE_DIGITS", 120)
-                finer = _precise_readings(_input_coeffs(p), radius)
+                finer = _precise_readings(_input_coeffs(p), radius)[0]
             for index, (sixty, more) in enumerate(zip(table.readings, finer), start=1):
                 if sixty is not None:
                     assert more == sixty, (p.coeffs, radius, index)

@@ -7,10 +7,9 @@ error (also an ``--out`` path that cannot be written), 2 numeric failure
 ``r * h`` that overflows in ``discretize``, or a ``jury`` input of degree 0
 or with a zero leading coefficient).
 
-Unless ``stability --method oracle`` asks for the root oracle, which alone
-loads numpy, every `stability` and `jury` verdict comes from the reduction
-table, which reads any polynomial of degree >= 1 (its trailing zeros
-dropped), however widely its coefficients range.
+Every `stability` and `jury` verdict comes from the reduction table, which
+reads any polynomial of degree >= 1 (its trailing zeros dropped), however
+widely its coefficients range; no command loads numpy.
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls, so a process may call it any number of times. An
@@ -108,8 +107,7 @@ def _build_parser() -> _Parser:
     stab.add_argument("--r", type=_finite_float, required=True)
     stab.add_argument("--point", choices=(delay_map.TRIVIAL, delay_map.NONTRIVIAL),
                       required=True)
-    stab.add_argument("--method", choices=(jury.JURY, jury.ORACLE),
-                      default=jury.JURY)
+    stab.add_argument("--method", choices=(jury.JURY,), default=jury.JURY)
 
     bnd = sub.add_parser("boundary", help="stability thresholds for tau = 0..max")
     bnd.add_argument("--tau-max", type=_nonneg_int, required=True)
@@ -208,17 +206,9 @@ def _verdict_payload(verdict: jury.StabilityVerdict) -> dict:
 
 def _evidence_payload(verdict: jury.StabilityVerdict) -> dict:
     """What the verdict rests on: the radius of its table's run and the
-    conditions read off that table, or, from the root oracle, the root
-    moduli with their residual.
-
-    The residual is max |P(root)|; it is null when that overflows a double.
-    """
-    if verdict.table is not None:
-        return {"radius": verdict.table.radius,
-                "conditions": jury.jury_conditions(verdict.table)}
-    roots = verdict.root_set
-    return {"root_moduli": sorted((abs(z) for z in roots.roots), reverse=True),
-            "root_residual": roots.residual if math.isfinite(roots.residual) else None}
+    conditions read off that table."""
+    return {"radius": verdict.table.radius,
+            "conditions": jury.jury_conditions(verdict.table)}
 
 
 # one sample of each trajectory format, as a %-template of its step and x:
@@ -275,11 +265,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:
 
 def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
     p = delay_map.char_poly(args.tau, args.r, args.point)
-    if args.method == jury.JURY:
-        verdict = jury.jury_verdict(p)
-    else:
-        verdict = jury.oracle_verdict(p)
-
+    verdict = jury.jury_verdict(p)
     payload: dict = {
         "tau": args.tau, "r": args.r, "point": args.point,
         "requested_method": args.method,

@@ -28,10 +28,12 @@ row step, :func:`_reduced`, and one condition function,
 :func:`_condition_terms`, serve both arithmetics, doubles and decimals.
 
 One unit-circle rule decides every verdict: a root modulus within
-MARGIN_TOL of 1 is marginal. The root-modulus oracle applies it through
-:func:`classify_modulus`; the table through radii, since the spectral
-radius of ``p`` is below ``s`` exactly when ``p(s z)`` has every root
-inside the unit circle. The verdict runs the table of
+MARGIN_TOL of 1 is marginal. :func:`classify_modulus` applies it to a
+modulus, for the one-step schemes and for the root oracle
+(:func:`oracle_verdict`), the reference that the tests check the table
+against and that no command calls; the table applies it through radii,
+since the spectral radius of ``p`` is below ``s`` exactly when ``p(s z)``
+has every root inside the unit circle. The verdict runs the table of
 ``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
 condition fails, else ``marginal``. :func:`jury_table` computes every
@@ -44,16 +46,15 @@ gets a verdict. That leaves undecided only a margin within the decimal
 estimate, such as a condition that a root of high multiplicity on the
 circle cancels. Where one fails and nothing was flushed, the rest stay as
 read in doubles, so any of them may be undecided. No table verdict calls
-the root oracle (:func:`oracle_verdict`).
+the root oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .polynomial import Polynomial, RootSet, normalize_leading, roots
+from .polynomial import Polynomial, normalize_leading, roots
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -126,15 +127,14 @@ class StabilityVerdict:
     scheme of :mod:`discretization`, whose witness is the derivative). A
     JURY ``witness`` indexes a condition of its ``table``: the first that
     fails at the outer radius (unstable) or does not hold at the inner one
-    (marginal). An ORACLE witness is the spectral radius, with the
-    ``root_set``. The evidence fields do not take part in equality.
+    (marginal). An ORACLE witness is the spectral radius. The ``table``
+    does not take part in equality.
     """
 
     status: str
     witness: float | int | None
     method: str
     table: JuryTable | None = field(default=None, compare=False)
-    root_set: RootSet | None = field(default=None, compare=False)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
@@ -319,10 +319,8 @@ def classify_modulus(modulus: float) -> str:
 
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify by the largest root modulus, independent of the table."""
-    root_set = roots(p)
-    rho = max(abs(z) for z in root_set.roots)
-    return StabilityVerdict(classify_modulus(rho), witness=rho, method=ORACLE,
-                            root_set=root_set)
+    rho = max(abs(z) for z in roots(p).roots)
+    return StabilityVerdict(classify_modulus(rho), witness=rho, method=ORACLE)
 
 
 def jury_verdict(p: Polynomial) -> StabilityVerdict:
@@ -340,31 +338,3 @@ def jury_verdict(p: Polynomial) -> StabilityVerdict:
         return StabilityVerdict(UNSTABLE, outer.readings.index(False) + 1, JURY, table=outer)
     unmet = next(index for index, reading in enumerate(inner.readings, start=1) if not reading)
     return StabilityVerdict(MARGINAL, unmet, JURY, table=inner)
-
-
-class StableReading(NamedTuple):
-    """What :func:`is_stable` returns: whether the table reads stable, and
-    ``guide``, the margin of the table's condition ``max(m - 1, 1)`` over
-    the size of that condition's operands (see :func:`_guide`)."""
-
-    holds: bool
-    guide: float
-
-
-def is_stable(p: Polynomial) -> StableReading:
-    """Whether :func:`jury_verdict`'s first table reads ``p`` stable, with
-    the guide from the same table."""
-    table = jury_table(p, INNER_RADIUS)
-    return StableReading(all(table.readings), _guide(table))
-
-
-def _guide(table: JuryTable) -> float:
-    """The margin of condition ``max(m - 1, 1)`` of ``table`` over its
-    operands' size, in [-1, 1]: positive where it holds. For the delay
-    family it is the condition that fails where a root pair crosses the
-    circle at f(tau), so a root of the guide in r places f. It is read off
-    the double terms, also where the decimal re-read gave the readings.
-    """
-    lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
-    size = lhs + rhs
-    return margin / size if size else 0.0

@@ -1,12 +1,12 @@
-"""Real-coefficient polynomials plus a root-modulus oracle.
+"""Real-coefficient polynomials plus the roots the tests check against.
 
 Coefficients are stored in descending powers: ``coeffs[0]`` multiplies the
 highest power and the degree is ``len(coeffs) - 1``. The roots are the
-eigenvalues of the companion matrix, so the oracle shares no code with
-the coefficient-based stability tests that it cross-checks. Only
-:func:`roots` needs numpy, and it imports it on its first call; only the
-root oracle calls it, so no verdict of the coefficient table loads it.
-Only :func:`roots` uses :func:`evaluate`, for its residual.
+eigenvalues of the companion matrix, so the root oracle built on them
+(:func:`jury.oracle_verdict`) shares no code with the coefficient table
+that the tests check against it. Only :func:`roots` needs numpy, and it
+imports it on its first call; no command calls it, so numpy is needed
+only to test. Only :func:`roots` uses :func:`evaluate`, for its residual.
 """
 
 from __future__ import annotations

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .delay_map import NONTRIVIAL, char_poly
-from .jury import StableReading, is_stable
+from .jury import INNER_RADIUS, JuryTable, jury_table
+from .polynomial import Polynomial
 
 DEFAULT_TOL = 1e-10
 
@@ -35,6 +37,15 @@ _BRACKET_FLOOR = 1e-9
 
 class BracketingError(RuntimeError):
     """No stable/unstable flip found within the allowed rate range."""
+
+
+class StableReading(NamedTuple):
+    """What :func:`is_stable` returns: whether the table reads stable, and
+    ``guide``, the margin of the table's condition ``max(m - 1, 1)`` over
+    the size of that condition's operands (see :func:`_guide`)."""
+
+    holds: bool
+    guide: float
 
 
 @dataclass(frozen=True)
@@ -57,9 +68,29 @@ class BoundaryTable:
     monotone_decreasing: bool
 
 
+def is_stable(p: Polynomial) -> StableReading:
+    """Whether :func:`jury.jury_verdict`'s first table, that of
+    ``p(INNER_RADIUS * z)``, reads ``p`` stable, with the guide from the
+    same table."""
+    table = jury_table(p, INNER_RADIUS)
+    return StableReading(all(table.readings), _guide(table))
+
+
+def _guide(table: JuryTable) -> float:
+    """The margin of condition ``max(m - 1, 1)`` of ``table`` over its
+    operands' size, in [-1, 1]: positive where it holds. For the delay
+    family it is the condition that fails where a root pair crosses the
+    circle at f(tau), so a root of the guide in r places f. It is read off
+    the double terms, also where the decimal re-read gave the readings.
+    """
+    lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
+    size = lhs + rhs
+    return margin / size if size else 0.0
+
+
 def is_stable_nontrivial(tau: int, r: float) -> StableReading:
     """Whether the capacity point at ``tau``, ``r`` is stable, with its
-    table's guide (see :class:`jury.StableReading`)."""
+    table's guide (see :class:`StableReading`)."""
     return is_stable(char_poly(tau, r, NONTRIVIAL))
 
 
@@ -77,7 +108,7 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
     side closes the bracket.
 
     One loop then shrinks it. A trial's guide is the scaled margin of its
-    table's condition ``max(m - 1, 1)`` (see :func:`jury._guide`). Where
+    table's condition ``max(m - 1, 1)`` (see :func:`_guide`). Where
     the ends' guides agree with the verdicts (positive at the stable end,
     negative at the unstable end), the next rate is the secant step
     through the two latest trials (at first the walk's last two): where

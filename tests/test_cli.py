@@ -66,14 +66,14 @@ def _run(capsys, argv):
     # the payload shapes below were pinned from the json.dumps(indent=2)
     # output, before the CLI wrote its documents with its own writer: a
     # trivial point (the degree-1 table of lambda - (1 + r), its trailing
-    # zeros dropped), the root oracle asked for, the table of an input with
-    # trailing zeros that span 1e286, a marginal verdict from the decimal
-    # re-read, and the tables and discretize reports
+    # zeros dropped), the table asked for by name, the table of an input
+    # with trailing zeros that span 1e286, a marginal verdict from the
+    # decimal re-read, and the tables and discretize reports
     (["stability", "--tau", "3", "--r", "0.5", "--point", "trivial"],
      "cc430341ed91b34286c9907ece4796a0ba6124445dcae1233b716168ceecedd3"),
     (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial",
-      "--method", "oracle"],
-     "b09f576ed8ede0a222ed89dc9175c053a0363c140f6cd1b2e1bf29dd114d6b9b"),
+      "--method", "jury"],
+     "e706099ae928af4f7df17ddf83dd5b42efa856b8202d573b2e6ee1f7a768e37f"),
     (["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"],
      "c39f251d2c77062ff9cc869f9f8a0e44939eb75c827873e5affaf8b63d4e035f"),
     (["jury", "--coeffs", "1,0,2,0,1"],
@@ -468,49 +468,11 @@ def test_stability_long_delay_is_decided_by_the_table(capsys):
     assert "root_moduli" not in payload
 
 
-def test_stability_oracle_payload_lists_root_moduli(capsys):
-    code, out, _ = _run(capsys, ["stability", "--tau", "2", "--r", "0.7",
-                                 "--point", "nontrivial", "--method", "oracle"])
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["verdict"]["status"] == "unstable"
-    moduli = payload["root_moduli"]
-    assert moduli == sorted(moduli, reverse=True)
-    assert moduli[0] > 1.0
-
-
-def test_stability_oracle_payload_shows_the_root_residual(capsys):
-    code, out, _ = _run(capsys, ["stability", "--method", "oracle", "--tau", "2",
-                                 "--r", "0.5", "--point", "nontrivial"])
-    payload = json.loads(out)
-    assert code == 0
-    assert list(payload)[-2:] == ["root_moduli", "root_residual"]
-    assert 0.0 <= payload["root_residual"] <= 1e-12
-
-
-def test_root_residual_that_overflows_is_null():
-    # root sets whose |P(root)| overflows: to nan for roots that span
-    # 1e295, which strict JSON cannot hold, and, for the second input, to a
-    # modulus past the largest double, where abs() of the finite complex
-    # value raises OverflowError
-    for coeffs in ((-1e9, 1e238, 1e295, 0.0, 0.0, 0.0),
-                   (-3.577118588599464e+199, 1.0789394941118804e-200, 0.0,
-                    1.267842439400661e-300, 1.2167013899152557, 0.0, 0.0, 0.0, 0.0,
-                    -1.465630494362098e+300, 8.530112605216762e+199, 0.0)):
-        verdict = jury.oracle_verdict(polynomial.Polynomial(coeffs))
-        assert not math.isfinite(verdict.root_set.residual), coeffs
-        evidence = cli._evidence_payload(verdict)
-        assert evidence["root_residual"] is None
-        json.loads(cli._json(evidence), parse_constant=_reject_non_finite)
-
-
-def test_root_residual_flags_roots_the_oracle_lost():
-    # two roots of modulus ~1 come out as 0 next to the one at 1e308; the
-    # residual is the only sign of it
-    verdict = jury.oracle_verdict(polynomial.Polynomial((1.0, 1e308, 0.0, 1e308)))
-    evidence = cli._evidence_payload(verdict)
-    assert evidence["root_moduli"] == [1e308, 0.0, 0.0]
-    assert evidence["root_residual"] == 1e308
+def test_stability_method_oracle_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, ["stability", "--tau", "2", "--r", "0.7",
+                                   "--point", "nontrivial", "--method", "oracle"])
+    assert (code, out) == (1, "")
+    assert "argument --method: invalid choice: 'oracle'" in err
 
 
 def test_jury_subcommand_full_payload(capsys):
@@ -676,6 +638,7 @@ _TABLE_DECIDED_ARGV = [
     ["jury", "--coeffs", "1,-1,0,0.5"],
     ["jury", "--coeffs", "1,-5,10,-10,5,-1"],
     ["stability", "--tau", "3", "--r", "0.3", "--point", "nontrivial"],
+    ["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial", "--method", "jury"],
     ["stability", "--tau", "12", "--r", "-0.5", "--point", "trivial"],
     ["boundary", "--tau-max", "5"],
     ["tables"],
@@ -741,10 +704,7 @@ def _count_calls(monkeypatch, names):
     (["jury", "--coeffs", _SINGULAR_AT_EVERY_RADIUS], 2, 0),
     (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial"], 1, 0),
     (["stability", "--tau", "12", "--r", "-1", "--point", "trivial"], 1, 0),
-    (["stability", "--tau", "5", "--r", "0.2", "--point", "nontrivial",
-      "--method", "oracle"], 0, 1),
-], ids=["jury", "jury-singular", "stability", "stability-trivial",
-        "stability-oracle"])
+], ids=["jury", "jury-singular", "stability", "stability-trivial"])
 def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
                                                     tables, roots):
     counts = _count_calls(monkeypatch, [(jury, "jury_table"),
@@ -949,7 +909,7 @@ def test_a_usage_error_leaves_the_next_call_untouched(capsys):
     expected = _run(capsys, argv)
     assert expected[0] == 0 and json.loads(expected[1])["requested_method"] == "jury"
     # fails for want of --point, after --method has been read
-    assert _run(capsys, argv[:-2] + ["--method", "oracle"])[0] == 1
+    assert _run(capsys, argv[:-2] + ["--method", "jury"])[0] == 1
     assert _run(capsys, ["jury", "--coeffs", "1,,2"])[0] == 1
     assert _run(capsys, argv) == expected
 
@@ -998,7 +958,7 @@ def test_usage_text_matches_a_fresh_parser_after_many_calls(capsys, monkeypatch)
                  ["simulate", "--r", "0.5", "--K", "1", "--tau", "0", "--x0", "0.5",
                   "--steps", "2", "--format", "json"],
                  ["stability", "--tau", "1", "--r", "-0.5", "--point", "trivial",
-                  "--method", "oracle"],
+                  "--method", "jury"],
                  ["discretize", "--scheme", "ratio", "--r", "1", "--h", "2", "--K", "3"],
                  ["boundary", "--tau-max", "0", "--tol", "1e-6"]):
         assert _run(capsys, argv)[0] == 0

@@ -18,13 +18,18 @@ from delaylogistic.jury import (
     StabilityVerdict,
     _precise_readings,
     _readings,
-    is_stable,
     jury_conditions,
     jury_table,
     jury_verdict,
     oracle_verdict,
 )
-from delaylogistic.polynomial import DegeneratePolynomialError, Polynomial, normalize_leading
+from delaylogistic.polynomial import (
+    DegeneratePolynomialError,
+    Polynomial,
+    normalize_leading,
+    roots,
+)
+from delaylogistic.sweep import is_stable
 from schur_cohn import deltas
 from sparse_rows import (
     bits,
@@ -394,7 +399,7 @@ def test_verdict_reads_a_singular_table_by_its_conditions():
         assert jury_conditions(table)[3]["satisfied"] is not True
     verdict = jury_verdict(p)
     assert (verdict.status, verdict.witness, verdict.method) == (UNSTABLE, 2, "jury")
-    assert verdict.table == jury_table(p, OUTER_RADIUS) and verdict.root_set is None
+    assert verdict.table == jury_table(p, OUTER_RADIUS)
     assert oracle_verdict(p).status == UNSTABLE
 
 
@@ -409,7 +414,6 @@ def test_table_verdict_carries_its_table_and_conditions():
     conditions = jury_conditions(verdict.table)
     assert conditions == jury_conditions(jury_table(p, OUTER_RADIUS))
     assert conditions[verdict.witness - 1]["satisfied"] is False
-    assert verdict.root_set is None
     assert not hasattr(verdict, "conditions")
     marginal = jury_verdict(Polynomial((1.0, -1.0, 1.0)))
     assert marginal.status == MARGINAL and marginal.table.radius == INNER_RADIUS
@@ -423,8 +427,9 @@ def test_table_verdict_carries_its_table_and_conditions():
 def test_verdict_equality_ignores_the_evidence():
     p = Polynomial((1.0, -1.0, 0.5))
     verdict = jury_verdict(p)
+    assert max(abs(z) for z in roots(p).roots) < INNER_RADIUS
     assert verdict == StabilityVerdict(STABLE, None, "jury")
-    assert verdict == replace(verdict, table=None, root_set=oracle_verdict(p).root_set)
+    assert verdict == replace(verdict, table=jury_table(p, OUTER_RADIUS))
     assert hash(verdict) == hash(StabilityVerdict(STABLE, None, "jury"))
 
 

@@ -14,15 +14,15 @@ from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
     StabilityVerdict,
-    StableReading,
-    is_stable,
     jury_verdict,
     oracle_verdict,
 )
 from delaylogistic.sweep import (
     BracketingError,
+    StableReading,
     boundary_table,
     critical_r,
+    is_stable,
     is_stable_nontrivial,
 )
 
@@ -41,7 +41,7 @@ def _jury_nontrivial(tau, r):
 
 
 def _oracle_is_stable(p):
-    """``jury.is_stable`` answered by the root oracle alone, with no guide."""
+    """``sweep.is_stable`` answered by the root oracle alone, with no guide."""
     return StableReading(oracle_verdict(p).status == STABLE, math.nan)
 
 
@@ -356,9 +356,9 @@ INSTABILITY_DELAYS = [1, 2, 5, 12, 17, 40]
 
 @pytest.mark.parametrize("tau", INSTABILITY_DELAYS)
 def test_dominant_root_crosses_at_the_predicted_angle(tau):
-    verdict = _oracle_nontrivial(tau, (1.0 + 1e-6) * _candidate_threshold(tau))
-    assert verdict.status == UNSTABLE
-    dominant = max(verdict.root_set.roots, key=abs)
+    p = char_poly(tau, (1.0 + 1e-6) * _candidate_threshold(tau), NONTRIVIAL)
+    assert oracle_verdict(p).status == UNSTABLE
+    dominant = max(polynomial.roots(p).roots, key=abs)
     assert abs(abs(cmath.phase(dominant)) - math.pi / (2 * tau + 1)) <= 1e-6
 
 

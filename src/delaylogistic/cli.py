@@ -9,7 +9,11 @@ or with a zero leading coefficient).
 
 Every `stability` and `jury` verdict comes from the reduction table, which
 reads any polynomial of degree >= 1 (its trailing zeros dropped), however
-widely its coefficients range; no command loads numpy.
+widely its coefficients range; no command loads numpy. A `jury` payload's
+`table_rows` and `table_shifts` are always the double table, each row
+defined up to a positive factor; where the 60-digit re-read gave the
+readings, the `conditions` records come from the 60-digit table of the
+unrounded input instead.
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls, so a process may call it any number of times. An
@@ -107,7 +111,6 @@ def _build_parser() -> _Parser:
     stab.add_argument("--r", type=_finite_float, required=True)
     stab.add_argument("--point", choices=(delay_map.TRIVIAL, delay_map.NONTRIVIAL),
                       required=True)
-    stab.add_argument("--method", choices=(jury.JURY,), default=jury.JURY)
 
     bnd = sub.add_parser("boundary", help="stability thresholds for tau = 0..max")
     bnd.add_argument("--tau-max", type=_nonneg_int, required=True)
@@ -268,7 +271,6 @@ def _cmd_stability(args: argparse.Namespace) -> dict | list[str]:
     verdict = jury.jury_verdict(p)
     payload: dict = {
         "tau": args.tau, "r": args.r, "point": args.point,
-        "requested_method": args.method,
         "char_poly": p.coeffs,
         "verdict": _verdict_payload(verdict),
     }

@@ -94,8 +94,14 @@ class JuryTable:
 
     ``readings[i]`` is condition ``i + 1`` as read off the table (see
     :func:`jury_conditions`), and ``terms[i]`` its ``(lhs, rhs, margin,
-    rounding)`` in doubles; ``decimal_terms`` are those of the decimal
-    re-read where it gave the readings, else None. Terms are not compared.
+    rounding)`` in doubles, from the arithmetic that gave the readings:
+    the double rows, or where the decimal re-read gave them, the 60-digit
+    table of the unrounded input, each condition scaled by a power of ten
+    (see :func:`_as_doubles`). Terms are not compared.
+
+    ``live``, ``shifts`` and :attr:`rows` are always the double table,
+    also where its readings come from the re-read. Each row is defined
+    only up to a positive factor, as every condition is homogeneous in it.
     """
 
     live: tuple[tuple[float, ...], ...]
@@ -103,7 +109,6 @@ class JuryTable:
     radius: float
     readings: tuple[bool | None, ...]
     terms: tuple[tuple[float, ...], ...] = field(compare=False)
-    decimal_terms: tuple[tuple, ...] | None = field(default=None, compare=False)
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -167,15 +172,14 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
         shifts.append(shift)
     terms = _condition_terms(live, _UNIT_ROUNDOFF)
     readings = _readings(terms)
-    decimal_terms = None
     # within its estimate a sign is noise: where none fails, read all again,
     # as, whatever the doubles read, where the input row may have lost a
     # coefficient to 0 or a subnormal: the smallest, times 2**shift and the
     # radius's smallest power, below twice the smallest normal double
     smallest = math.ldexp(min(map(abs, filter(None, coeffs))), shifts[0]) * min(radius, 1.0) ** m
     if (None in readings and False not in readings) or smallest < 2.0 ** -1021:
-        readings, decimal_terms = _precise_readings(coeffs, radius)
-    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms, decimal_terms)
+        readings, terms = _precise_readings(coeffs, radius)
+    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms)
 
 
 def _reduced(row, width: int) -> tuple:
@@ -216,27 +220,24 @@ def jury_conditions(table: JuryTable) -> list[dict]:
     records the payloads print: 1-based ``index``, ``description``,
     ``lhs``, ``rhs``, the reading ``satisfied`` (None where undecided) and
     ``margin``, positive where the inequality holds. The numbers are the
-    terms of the arithmetic that read the table, doubles or decimals."""
+    table's ``terms``, from the arithmetic that gave its readings."""
     m = len(table.terms)
     tests = ["|a_m| < a_0"] + [f"|last| > |first| on reduced row {k}" for k in range(1, m - 1)]
     if m > 1:
         tests.append("|first + last| > |middle| on the three-entry row")
-    terms = table.terms if table.decimal_terms is None else _as_doubles(table.decimal_terms)
     return [{"index": index, "description": test, "lhs": lhs, "rhs": rhs,
              "satisfied": reading, "margin": margin}
             for index, (test, (lhs, rhs, margin, _), reading)
-            in enumerate(zip(tests, terms, table.readings), start=1)]
+            in enumerate(zip(tests, table.terms, table.readings), start=1)]
 
 
-def _as_doubles(terms) -> list[list[float]]:
+def _as_doubles(terms) -> tuple[tuple[float, ...], ...]:
     """Each condition of the decimal ``terms`` times the power of ten that
     brings ``max(lhs, rhs)`` into [1, 10), as a decimal row may lie far
-    outside a double's range, rounded once to doubles."""
-    from decimal import localcontext
-    with localcontext() as context:
-        context.prec = _PRECISE_DIGITS  # so that scaleb rounds no digit away
-        return [[float(x.scaleb(-max(condition[:2]).adjusted())) for x in condition]
-                for condition in terms]
+    outside a double's range, rounded once to doubles. Called at the
+    precision of the terms, so that scaleb rounds no digit away."""
+    return tuple([tuple([float(x.scaleb(-max(condition[:2]).adjusted())) for x in condition])
+                  for condition in terms])
 
 
 def _condition_terms(rows, unit) -> tuple[tuple, ...]:
@@ -286,11 +287,12 @@ def _readings(terms) -> tuple[bool | None, ...]:
 
 
 def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[tuple, tuple]:
-    """The readings and the terms of the conditions of the table of
-    ``coeffs``, the input without its trailing zeros, at ``radius``, read at
-    ``_PRECISE_DIGITS`` digits (unit roundoff ``10**(1 - digits)``). The
-    input row is the unrounded ``coeffs`` scaled by one running product of
-    the radius; a decimal holds any double's exponent, and its squares."""
+    """The readings of the conditions of the table of ``coeffs``, the input
+    without its trailing zeros, at ``radius``, read at ``_PRECISE_DIGITS``
+    digits (unit roundoff ``10**(1 - digits)``), and their terms as
+    :func:`_as_doubles` rounds them. The input row is the unrounded
+    ``coeffs`` scaled by one running product of the radius; a decimal holds
+    any double's exponent, and its squares."""
     from decimal import Decimal, InvalidOperation, localcontext  # imported only when needed
     with localcontext() as context:
         context.prec = _PRECISE_DIGITS
@@ -309,7 +311,7 @@ def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[tuple, 
                 row = [c.scaleb(-exponent) for c in row]
             rows.append(row)
         terms = _condition_terms(rows, Decimal(10) ** (1 - _PRECISE_DIGITS))
-        return _readings(terms), terms
+        return _readings(terms), _as_doubles(terms)
 
 
 def classify_modulus(modulus: float) -> str:

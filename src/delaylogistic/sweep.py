@@ -14,7 +14,7 @@ about 2.2e-12 below f(tau) at every delay.
 
 Seeded by :func:`boundary_table` from the delays before it, a threshold
 takes 2 to 8 tables from delay 2 on (5.9 on average through delay 30, 4.4
-through 200, 3.6 through 1000); the unseeded walk of :func:`critical_r`
+through 200, 3.5 through 1000); the unseeded walk of :func:`critical_r`
 takes 14 at delay 0.
 """
 
@@ -81,7 +81,8 @@ def _guide(table: JuryTable) -> float:
     operands' size, in [-1, 1]: positive where it holds. For the delay
     family it is the condition that fails where a root pair crosses the
     circle at f(tau), so a root of the guide in r places f. It is read off
-    the double terms, also where the decimal re-read gave the readings.
+    the table's ``terms``, the numbers its condition records show, so where
+    the decimal re-read gave the readings, it is the re-read's too.
     """
     lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
     size = lhs + rhs
@@ -98,33 +99,34 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
                step: float | None = None) -> BoundaryPoint:
     """Locate the supremum of the stable rate interval.
 
-    Every trial rate reads one table, through :func:`is_stable_nontrivial`,
-    and its verdict alone decides which end of the bracket it replaces, so
-    both ends are read stable and unstable. A walk from ``seed`` finds the
-    bracket: up while the rate reads stable (capped at 4.0), down while it
-    does not (by at most half the rate, and stopping past 1e-9), by
-    ``step`` (default ``seed``), doubling the step each time. With the
-    defaults the walk doubles or halves 0.1. The first rate on the other
-    side closes the bracket.
+    One loop reads every trial rate, one table each, through
+    :func:`is_stable_nontrivial`, and the verdict alone decides which end
+    of the bracket the rate replaces, so both ends are read stable and
+    unstable. While one end is still unread, the loop walks from ``seed``:
+    up while the rate reads stable (capped at 4.0), down while it does not
+    (by at most half the rate, and stopping past 1e-9), by ``step``
+    (default ``seed``), doubling the step each time. With the defaults the
+    walk doubles or halves 0.1. The first rate on the other side closes
+    the bracket.
 
-    One loop then shrinks it. A trial's guide is the scaled margin of its
-    table's condition ``max(m - 1, 1)`` (see :func:`_guide`). Where
-    the ends' guides agree with the verdicts (positive at the stable end,
-    negative at the unstable end), the next rate is the secant step
-    through the two latest trials (at first the walk's last two): where
-    the line through their guides crosses zero, if that falls strictly
-    inside the bracket, and else the ends' false-position point, where the
-    line through the ends' guides crosses zero. A point within ``tol / 2``
-    of an end is moved ``tol / 2`` inside it, so a guide that places f next
-    to an end closes the bracket with one more table; if it does not, the
-    next rate is the midpoint. The midpoint is also the next rate wherever
-    the last two reads did not halve the bracket, which holds a
-    right-signed but flat guide to about twice the reads of bisection, and
-    at every other rate, so with NaN guides the loop bisects. It stops
-    once the bracket is no wider than ``tol``, or once its ends are
-    adjacent doubles, so a ``tol`` below the float spacing ends at one
-    ulp. Raises :class:`BracketingError` when no flip exists in range,
-    which for this family signals a defect.
+    Once both ends are read, the loop shrinks the bracket. A trial's guide
+    is the scaled margin of its table's condition ``max(m - 1, 1)`` (see
+    :func:`_guide`). Where the ends' guides agree with the verdicts
+    (positive at the stable end, negative at the unstable end), the next
+    rate is the secant step through the two latest trials (at first the
+    walk's last two): where the line through their guides crosses zero, if
+    that falls strictly inside the bracket, and else the ends'
+    false-position point, where the line through the ends' guides crosses
+    zero. A point within ``tol / 2`` of an end is moved ``tol / 2`` inside
+    it, so a guide that places f next to an end closes the bracket with one
+    more table; if it does not, the next rate is the midpoint. The midpoint
+    is also the next rate wherever the last two reads did not halve the
+    bracket, which holds a right-signed but flat guide to about twice the
+    reads of bisection, and at every other rate, so with NaN guides the
+    loop bisects. It stops once the bracket is no wider than ``tol``, or
+    once its ends are adjacent doubles, so a ``tol`` below the float
+    spacing ends at one ulp. Raises :class:`BracketingError` when no flip
+    exists in range, which for this family signals a defect.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -132,31 +134,28 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
     if not (seed > 0 and step > 0):
         raise ValueError(f"seed and step must be positive, got {seed!r} and {step!r}")
     tables = 0
-
-    def read(r: float) -> StableReading:
-        """The verdict at ``r`` and its guide."""
-        nonlocal tables
-        tables += 1
-        return is_stable_nontrivial(tau, r)
-
-    r = seed
-    rising, guide = read(r)
-    while (r < _BRACKET_CAP) if rising else (r > _BRACKET_FLOOR):
-        last = (r, guide)
-        r = min(r + step, _BRACKET_CAP) if rising else max(r - step, 0.5 * r)
-        step *= 2.0
-        holds, guide = read(r)
-        if holds != rising:
-            (lo, g_lo), (hi, g_hi) = (last, (r, guide)) if rising else ((r, guide), last)
-            break
-    else:
-        raise BracketingError(f"no stability flip for r in "
-                              f"[{_BRACKET_FLOOR}, {_BRACKET_CAP}] at tau={tau}")
-
-    latest = (r, guide)  # the latest trial; last is the one before it
+    lo = hi = None  # the bracket's ends, once read; g_lo and g_hi are their guides
+    latest = None  # the latest trial, (rate, guide); last is the one before it
     older = old = math.inf  # the bracket widths before the last two reads
     clamped = False  # whether the previous trial was moved inside by tol / 2
-    while hi - lo > tol:
+    x = seed
+    while True:
+        tables += 1
+        holds, guide = is_stable_nontrivial(tau, x)
+        if holds:
+            lo, g_lo = x, guide
+        else:
+            hi, g_hi = x, guide
+        last, latest = latest, (x, guide)
+        if lo is None or hi is None:  # walk on, away from the end read so far
+            if not ((x < _BRACKET_CAP) if holds else (x > _BRACKET_FLOOR)):
+                raise BracketingError(f"no stability flip for r in "
+                                      f"[{_BRACKET_FLOOR}, {_BRACKET_CAP}] at tau={tau}")
+            x = min(x + step, _BRACKET_CAP) if holds else max(x - step, 0.5 * x)
+            step *= 2.0
+            continue
+        if hi - lo <= tol:
+            break
         x = 0.5 * (lo + hi)
         if not clamped and hi - lo <= 0.5 * older and g_lo > 0.0 > g_hi:  # False on NaN
             (r0, g0), (r1, g1) = last, latest
@@ -171,12 +170,6 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
         if not lo < x < hi:  # adjacent doubles: a finer tol cannot be met
             break
         older, old = old, hi - lo
-        holds, guide = read(x)
-        if holds:
-            lo, g_lo = x, guide
-        else:
-            hi, g_hi = x, guide
-        last, latest = latest, (x, guide)
     return BoundaryPoint(tau=tau, r_critical=0.5 * (lo + hi),
                          bracket_width=hi - lo, tables=tables)
 
@@ -192,8 +185,8 @@ def boundary_table(tau_max: int, tol: float = DEFAULT_TOL) -> BoundaryTable:
     predicted gap g**2 / g' where there was none. Otherwise the walk
     starts at the threshold before and steps by g, or by the seed itself
     at tau 1 and wherever g is not positive. That takes 184 tables through
-    tau 30, 878 through 200 and 3555 through 1000, against 279, 1516 and
-    6392 when every walk starts at the threshold before. Verdicts still
+    tau 30, 878 through 200 and 3547 through 1000, against 248, 1347 and
+    5501 when every walk starts there. Verdicts still
     decide both ends of every bracket, so no point assumes the
     monotonicity that the flag reports. Strictness is judged with a slack
     of ``10 * tol`` so that adjacent thresholds closer than the resolution

@@ -38,9 +38,9 @@ def _run(capsys, argv):
     (["boundary", "--tau-max", "30", "--format", "csv"],
      "e822d0a6ec0aeec22c6db4fca6adb5fe793fa2a22187a353f845fa885c79f10c"),
     (["stability", "--tau", "40", "--r", "-0.05", "--point", "nontrivial"],
-     "51cbd60481c4d064c2422313ae2bde281acb15257cc1220ecd4ac41df1f97ea0"),
+     "821c9b14b273042e15c1c57a12cb96983e75f5e5d5b025ddef456afe01015795"),
     (["stability", "--tau", "17", "--r", "0.05", "--point", "nontrivial"],
-     "c168f0167d3dfd6fd8f680248a43ad3235836b782bf6ea058b6fee638366b580"),
+     "2d748f29c710154aede0bc4dfd14c9f3507b34bc98a73b5f299a3aa44ab74100"),
     (["jury", "--coeffs", "1,-1,0,0,0,0,-0.3"],
      "d0c564f29e962d93af624dec7caa7399fac9e21fa42db13a0f394de39c7954c9"),
     (["simulate", "--r", "0.106", "--K", "2800", "--tau", "17", "--x0", "1400",
@@ -66,14 +66,13 @@ def _run(capsys, argv):
     # the payload shapes below were pinned from the json.dumps(indent=2)
     # output, before the CLI wrote its documents with its own writer: a
     # trivial point (the degree-1 table of lambda - (1 + r), its trailing
-    # zeros dropped), the table asked for by name, the table of an input
+    # zeros dropped), an unstable verdict's table, the table of an input
     # with trailing zeros that span 1e286, a marginal verdict from the
     # decimal re-read, and the tables and discretize reports
     (["stability", "--tau", "3", "--r", "0.5", "--point", "trivial"],
-     "cc430341ed91b34286c9907ece4796a0ba6124445dcae1233b716168ceecedd3"),
-    (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial",
-      "--method", "jury"],
-     "e706099ae928af4f7df17ddf83dd5b42efa856b8202d573b2e6ee1f7a768e37f"),
+     "5d39959e3a4fcec9dedd571d544fcdfb320e57e592c1fed06410daef060fb322"),
+    (["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial"],
+     "aeae503c67deec307704957c2f90d4555b20ba7528aa089a45cba138bc280fab"),
     (["jury", "--coeffs=-1e9,1e238,1e295,0,0,0"],
      "c39f251d2c77062ff9cc869f9f8a0e44939eb75c827873e5affaf8b63d4e035f"),
     (["jury", "--coeffs", "1,0,2,0,1"],
@@ -468,11 +467,14 @@ def test_stability_long_delay_is_decided_by_the_table(capsys):
     assert "root_moduli" not in payload
 
 
-def test_stability_method_oracle_is_a_usage_error(capsys):
-    code, out, err = _run(capsys, ["stability", "--tau", "2", "--r", "0.7",
-                                   "--point", "nontrivial", "--method", "oracle"])
-    assert (code, out) == (1, "")
-    assert "argument --method: invalid choice: 'oracle'" in err
+def test_stability_takes_no_method_option(capsys):
+    argv = ["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial"]
+    for method in ("jury", "oracle"):
+        code, out, err = _run(capsys, argv + ["--method", method])
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: --method {method}" in err
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and "requested_method" not in json.loads(out)
 
 
 def test_jury_subcommand_full_payload(capsys):
@@ -617,8 +619,10 @@ def test_a_wide_range_input_reads_unstable_and_never_marginal(capsys, monkeypatc
     payload = json.loads(out)
     assert payload["verdict"]["status"] == "unstable"
     assert _records_agree_with_their_margins(payload["conditions"])
+    rereads = _count_calls(monkeypatch, [(jury, "_precise_readings")])
     outer = jury.jury_table(polynomial.Polynomial(coeffs), jury.OUTER_RADIUS)
-    assert outer.decimal_terms is not None and False not in jury._readings(outer.terms)
+    doubles = jury._readings(jury._condition_terms(outer.live, jury._UNIT_ROUNDOFF))
+    assert rereads["_precise_readings"] == 1 and False not in doubles
 
 
 def test_stability_trivial_point_is_decided_by_the_table(capsys):
@@ -638,7 +642,7 @@ _TABLE_DECIDED_ARGV = [
     ["jury", "--coeffs", "1,-1,0,0.5"],
     ["jury", "--coeffs", "1,-5,10,-10,5,-1"],
     ["stability", "--tau", "3", "--r", "0.3", "--point", "nontrivial"],
-    ["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial", "--method", "jury"],
+    ["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial"],
     ["stability", "--tau", "12", "--r", "-0.5", "--point", "trivial"],
     ["boundary", "--tau-max", "5"],
     ["tables"],
@@ -907,9 +911,9 @@ def test_seeding_flags_stay_exclusive_across_calls(capsys):
 def test_a_usage_error_leaves_the_next_call_untouched(capsys):
     argv = ["stability", "--tau", "2", "--r", "0.5", "--point", "nontrivial"]
     expected = _run(capsys, argv)
-    assert expected[0] == 0 and json.loads(expected[1])["requested_method"] == "jury"
-    # fails for want of --point, after --method has been read
-    assert _run(capsys, argv[:-2] + ["--method", "jury"])[0] == 1
+    assert expected[0] == 0 and json.loads(expected[1])["tau"] == 2
+    # fails for want of --point, after a second --tau has been read
+    assert _run(capsys, argv[:-2] + ["--tau", "3"])[0] == 1
     assert _run(capsys, ["jury", "--coeffs", "1,,2"])[0] == 1
     assert _run(capsys, argv) == expected
 
@@ -957,8 +961,7 @@ def test_usage_text_matches_a_fresh_parser_after_many_calls(capsys, monkeypatch)
     for argv in (["tables", "--format", "json"],
                  ["simulate", "--r", "0.5", "--K", "1", "--tau", "0", "--x0", "0.5",
                   "--steps", "2", "--format", "json"],
-                 ["stability", "--tau", "1", "--r", "-0.5", "--point", "trivial",
-                  "--method", "jury"],
+                 ["stability", "--tau", "1", "--r", "-0.5", "--point", "trivial"],
                  ["discretize", "--scheme", "ratio", "--r", "1", "--h", "2", "--K", "3"],
                  ["boundary", "--tau-max", "0", "--tol", "1e-6"]):
         assert _run(capsys, argv)[0] == 0

@@ -40,6 +40,25 @@ from sparse_rows import (
 )
 
 
+def _rereads(monkeypatch) -> list[float]:
+    """The radius of every table that jury_table re-reads in decimal from
+    here on, in call order."""
+    radii = []
+
+    def counted(coeffs, radius):
+        radii.append(radius)
+        return _precise_readings(coeffs, radius)
+
+    monkeypatch.setattr(jury, "_precise_readings", counted)
+    return radii
+
+
+def _double_readings(table) -> tuple[bool | None, ...]:
+    """The readings of ``table``'s double rows, whatever arithmetic gave
+    its own."""
+    return _readings(jury._condition_terms(table.live, jury._UNIT_ROUNDOFF))
+
+
 def test_table_reduces_cubic_by_hand():
     table = jury_table(Polynomial((1.0, -1.0, 0.0, 0.5)))
     assert table.rows[0] == (1.0, -1.0, 0.0, 0.5)
@@ -76,10 +95,11 @@ def test_table_rejects_zero_leading():
         jury_table(Polynomial((0.0, 1.0, 0.0, 0.5)))
 
 
-def test_table_singular_when_intermediate_row_ends_near_zero():
+def test_table_singular_when_intermediate_row_ends_near_zero(monkeypatch):
     # rows: (1, 1, 0, 0, 1.25, 0.5) -> (-0.75, 0, 0, -0.375, -0.75)
     #   -> (-0.28125, 0, 0.28125, 0), a zero pivot, which the reduction
     # takes like any other row: it never divides by a pivot
+    rereads = _rereads(monkeypatch)
     table = jury_table(Polynomial((1.0, 1.0, 0.0, 0.0, 1.25, 0.5)))
     assert table.rows[2] == (-0.28125, 0.0, 0.28125, 0.0)
     assert table.rows[3] == (0.0791015625, 0.0, -0.0791015625)
@@ -89,7 +109,7 @@ def test_table_singular_when_intermediate_row_ends_near_zero():
     # the records carry the decimal terms that read them, each condition
     # scaled by the power of ten that brings its larger operand into
     # [1, 10): condition 3's 0 against 0.28125 reads 0 against 2.8125
-    assert table.decimal_terms is not None
+    assert rereads == [1.0]
     conditions = jury_conditions(table)
     assert (conditions[2]["lhs"], conditions[2]["rhs"], conditions[2]["margin"]) == (
         0.0, 2.8125, -2.8125)
@@ -258,7 +278,7 @@ def _delay_family_at_rational_rates() -> list[tuple[Fraction, ...]]:
     return polys
 
 
-def test_decided_conditions_read_the_exact_schur_cohn_signs():
+def test_decided_conditions_read_the_exact_schur_cohn_signs(monkeypatch):
     # condition 1 holds exactly when delta_1 < 0 and condition k > 1 when
     # delta_k > 0, the deltas taken exactly from the doubles the table
     # starts from: whatever the table decides, in doubles or in decimal,
@@ -270,8 +290,10 @@ def test_decided_conditions_read_the_exact_schur_cohn_signs():
     seen = {"degree 1": 0, "degree 2": 0, "four entries": 0, "re-read": 0,
             "holds": 0, "fails": 0, "undecided": 0, "delta_(m-1) = 0": 0}
     polys = _dyadic_polynomials(random.Random(2024)) + _delay_family_at_rational_rates()
+    rereads = _rereads(monkeypatch)
     for coeffs in polys:
         assert all(Fraction(float(c)) == c for c in coeffs), coeffs
+        before = len(rereads)
         table = jury_table(Polynomial([float(c) for c in coeffs]))
         coeffs = without_trailing_zeros(coeffs)
         found = deltas(coeffs)
@@ -289,7 +311,7 @@ def test_decided_conditions_read_the_exact_schur_cohn_signs():
         seen["degree 2"] += len(coeffs) == 3
         seen["four entries"] += any(len(row) == 4 < len(table.live[0]) - i
                                     for i, row in enumerate(table.live))
-        seen["re-read"] += table.decimal_terms is not None
+        seen["re-read"] += len(rereads) > before
     assert min(seen.values()) >= 50, seen
 
 
@@ -312,12 +334,13 @@ def _exact_conditions(coeffs, radius: float) -> list[bool]:
     return [found[0] < 0] + [delta > 0 for delta in found[1:]]
 
 
-def test_wide_range_inputs_read_the_exact_verdict_with_records_that_agree():
+def test_wide_range_inputs_read_the_exact_verdict_with_records_that_agree(monkeypatch):
     # no input is refused. Every verdict and witness is the exact one: stable
     # where every condition holds at the inner radius, else unstable at the
     # first that fails at the outer one, else marginal. And every decided
     # record has the sign of its own margin, the re-read ones too
     seen = {STABLE: 0, UNSTABLE: 0, "lost a coefficient": 0, "re-read": 0}
+    rereads = _rereads(monkeypatch)
     for coeffs in _wide_range_polynomials():
         p = normalize_leading(Polynomial(coeffs))
         inner = _exact_conditions(p.coeffs, INNER_RADIUS)
@@ -327,6 +350,7 @@ def test_wide_range_inputs_read_the_exact_verdict_with_records_that_agree():
             outer = _exact_conditions(p.coeffs, OUTER_RADIUS)
             expected = ((UNSTABLE, outer.index(False) + 1) if False in outer
                         else (MARGINAL, inner.index(False) + 1))
+        before = len(rereads)
         verdict = jury_verdict(p)
         assert (verdict.status, verdict.witness) == expected, coeffs
         for record in jury_conditions(verdict.table):
@@ -335,14 +359,15 @@ def test_wide_range_inputs_read_the_exact_verdict_with_records_that_agree():
                 coeffs, record)
         seen[verdict.status] += 1
         seen["lost a coefficient"] += min(map(abs, verdict.table.live[0])) < 2.0 ** -1022
-        seen["re-read"] += verdict.table.decimal_terms is not None
+        # the inner and outer tables differ in radius
+        seen["re-read"] += verdict.table.radius in rereads[before:]
     assert min(seen.values()) >= 50, seen
     # the double table loses 1e-300 and reads condition 3 undecided; the
     # decimal re-read of the input reads the root near -1e200 failing it
     verdict = jury_verdict(Polynomial((1.0, 1e200, 0.0, 1e-300)))
     assert (verdict.status, verdict.witness) == (UNSTABLE, 3)
     assert verdict.table.live[0][-1] == 0.0
-    assert _readings(verdict.table.terms)[2] is None
+    assert _double_readings(verdict.table)[2] is None
     assert [record["satisfied"] for record in jury_conditions(verdict.table)] == [
         True, True, False]
 
@@ -718,24 +743,26 @@ def _reread(table, coeffs) -> bool:
     ``coeffs``: where its double readings leave one undecided and none
     failing, or where its input row holds a 0 or a subnormal in place of a
     non-zero coefficient, whatever the doubles read."""
-    doubles = _readings(table.terms)
+    doubles = _double_readings(table)
     lost = any(c != 0.0 and abs(x) < 2.0 ** -1022 for c, x in zip(coeffs, table.live[0]))
     return lost or (None in doubles and False not in doubles)
 
 
-def test_decided_double_readings_agree_with_the_decimal_readings():
+def test_decided_double_readings_agree_with_the_decimal_readings(monkeypatch):
     # both arithmetics reduce their rows with one step, in full and as four
     # entries: every condition the doubles decide on the inner-radius table,
     # the one every verdict reads first, the decimals read alike
     polys = (_delay_family_around_the_threshold() + _random_polynomials(random.Random(1307))
              + [p for family in _sparse_family_with_other_signs() for p in family])
     seen = {"full": 0, "four entries": 0, "undecided": 0}
+    rereads = _rereads(monkeypatch)
     for p in polys:
+        before = len(rereads)
         table = jury_table(p, INNER_RADIUS)
-        doubles = _readings(table.terms)
+        doubles = _double_readings(table)
         # where jury_table read the table in decimal, it carries those readings
         reread = _reread(table, _input_coeffs(p))
-        assert reread == (table.decimal_terms is not None), p.coeffs
+        assert reread == (len(rereads) > before), p.coeffs
         precise = (table.readings if reread
                    else _precise_readings(_input_coeffs(p), INNER_RADIUS)[0])
         assert len(precise) == len(doubles), p.coeffs

@@ -315,6 +315,21 @@ def test_is_stable_reading_carries_the_guide():
     assert is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide == pytest.approx(-0.5e-12, rel=1e-3)
 
 
+def test_guide_reads_the_numbers_of_the_condition_records(monkeypatch):
+    # (z^2 + 1)^2 at the outer radius: the double table leaves a condition
+    # within rounding, so the 60-digit re-read gives the readings, and the
+    # guide reads the terms of that re-read, as the records print them
+    rereads = []
+    original = jury._precise_readings
+    monkeypatch.setattr(jury, "_precise_readings",
+                        lambda *args: rereads.append(args) or original(*args))
+    table = jury.jury_table(polynomial.Polynomial((1.0, 0.0, 2.0, 0.0, 1.0)),
+                            jury.OUTER_RADIUS)
+    assert len(rereads) == 1
+    record = jury.jury_conditions(table)[2]  # condition max(m - 1, 1) at degree 4
+    assert sweep._guide(table) == record["margin"] / (record["lhs"] + record["rhs"])
+
+
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch, capsys):
     # the table decides every trial rate, and no search calls the root
     # oracle, so the label that the boundary output writes is "jury"

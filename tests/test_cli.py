@@ -467,7 +467,7 @@ def test_stability_long_delay_is_decided_by_the_table(capsys):
     assert "root_moduli" not in payload
 
 
-def test_stability_takes_no_method_option(capsys):
+def test_stability_method_oracle_is_a_usage_error(capsys):
     argv = ["stability", "--tau", "2", "--r", "0.7", "--point", "nontrivial"]
     for method in ("jury", "oracle"):
         code, out, err = _run(capsys, argv + ["--method", method])

@@ -236,8 +236,9 @@ def _as_doubles(terms) -> tuple[tuple[float, ...], ...]:
     brings ``max(lhs, rhs)`` into [1, 10), as a decimal row may lie far
     outside a double's range, rounded once to doubles. Called at the
     precision of the terms, so that scaleb rounds no digit away."""
-    return tuple([tuple([float(x.scaleb(-max(condition[:2]).adjusted())) for x in condition])
-                  for condition in terms])
+    scaled = [(condition, -max(condition[:2]).adjusted()) for condition in terms]
+    return tuple([tuple([float(x.scaleb(shift)) for x in condition])
+                  for condition, shift in scaled])
 
 
 def _condition_terms(rows, unit) -> tuple[tuple, ...]:
@@ -321,7 +322,7 @@ def classify_modulus(modulus: float) -> str:
 
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
     """Classify by the largest root modulus, independent of the table."""
-    rho = max(abs(z) for z in roots(p).roots)
+    rho = max(map(abs, roots(p)))
     return StabilityVerdict(classify_modulus(rho), witness=rho, method=ORACLE)
 
 

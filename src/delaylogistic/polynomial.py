@@ -6,7 +6,8 @@ eigenvalues of the companion matrix, so the root oracle built on them
 (:func:`jury.oracle_verdict`) shares no code with the coefficient table
 that the tests check against it. Only :func:`roots` needs numpy, and it
 imports it on its first call; no command calls it, so numpy is needed
-only to test. Only :func:`roots` uses :func:`evaluate`, for its residual.
+only to test. No command uses :func:`evaluate` either: the tests' residual
+of the roots does.
 """
 
 from __future__ import annotations
@@ -44,23 +45,6 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All complex roots of a polynomial with an accuracy diagnostic.
-
-    ``residual`` is max |P(root)| over the reported roots, evaluated on the
-    original coefficients, or ``math.inf`` when a modulus overflows a
-    double. ``iterations`` is always 0, since the eigenvalue solve is
-    direct; it stays only while the benchmark's traced runs
-    (``bench/spans.py``) read it, and goes with the benchmark's next
-    change.
-    """
-
-    roots: tuple[complex, ...]
-    residual: float
-    iterations: int
-
-
 def evaluate(coeffs: Sequence[float], z: complex) -> complex:
     """Evaluate the polynomial with coefficients ``coeffs`` (descending
     powers) at ``z`` by Horner's rule, in the arithmetic of its operands."""
@@ -84,34 +68,18 @@ def normalize_leading(p: Polynomial) -> Polynomial:
     return Polynomial(tuple(-c for c in p.coeffs))
 
 
-def roots(p: Polynomial) -> RootSet:
-    """Find all complex roots as the eigenvalues of the companion matrix.
+def roots(p: Polynomial) -> tuple[complex, ...]:
+    """All complex roots, as the eigenvalues of the companion matrix.
 
     A direct solve with ``numpy.roots``: trailing zero coefficients come
-    out as exact zero roots. A leading coefficient so small that the
-    monic coefficients overflow a double raises ``ValueError`` before
-    numpy can warn, since the companion matrix would overflow; a zero one
-    raises :class:`DegeneratePolynomialError`.
+    out as exact zero roots. A zero leading coefficient raises
+    :class:`DegeneratePolynomialError`; one so small that the companion
+    matrix overflows makes numpy warn, then raise ``LinAlgError``, a
+    ``ValueError``.
     """
     import numpy as np
 
     p = normalize_leading(p)
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    if not math.isfinite(max(map(abs, p.coeffs[1:])) / p.coeffs[0]):
-        raise ValueError(f"cannot decide {p.coeffs!r}: dividing by the leading "
-                         f"coefficient {p.coeffs[0]!r} overflows the monic form")
-    found = tuple(complex(z) for z in np.roots(p.coeffs).tolist())
-    # once per distinct root: numpy.roots repeats a k-fold zero root k
-    # times, and the trivial point's k = tau would cost O(tau**2)
-    residual = max(_modulus(evaluate(p.coeffs, z)) for z in dict.fromkeys(found))
-    return RootSet(found, residual=residual, iterations=0)
-
-
-def _modulus(z: complex) -> float:
-    """``abs(z)``, or ``math.inf`` where ``abs`` raises ``OverflowError``
-    because the modulus of finite parts overflows a double."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
+    return tuple(complex(z) for z in np.roots(p.coeffs).tolist())

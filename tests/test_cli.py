@@ -14,6 +14,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,10 @@ def _run(capsys, argv):
      "a8356bed9c13ee93ed28c9fe150555ceab5f830067e15ea73ee1dc17ff03e2bc"),
     (["discretize", "--scheme", "ratio", "--r", "100", "--h", "1", "--K", "1"],
      "83fa4d8184f6c1e265e8cef8148b3c739bba5bb5b541b7de6d621a60387b1cc2"),
+    # a re-read table far outside a double's range: the double table loses
+    # the 1e-300, so its records are the decimal re-read's terms
+    (["jury", "--coeffs", "1,1e200,0,1e-300"],
+     "b312256d6279af3024a80383b233504a70162f42c888af0c7be74f2372cfc285"),
 ])
 def test_golden_output_bytes(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
@@ -570,22 +575,22 @@ def _records_agree_with_their_margins(records) -> bool:
 
 
 def test_jury_overflowing_root_oracle_is_numeric_failure(capsys, monkeypatch):
-    # the monic coefficients overflow: the root oracle refuses the input
-    # with ValueError, naming the input and the cause before numpy can
-    # warn. The table needs no monic form: its input row loses the small
-    # coefficients, so it is read again in decimal from the unrounded
-    # input, which fails condition 1 at the root of modulus 9e200
+    # the monic coefficients overflow: numpy's companion matrix does, so the
+    # root reference warns, then raises LinAlgError, a ValueError. The table
+    # needs no monic form: its input row loses the small coefficients, so
+    # it is read again in decimal from the unrounded input, which fails
+    # condition 1 at the root of modulus 9e200
     p = polynomial.Polynomial(tuple(map(float, _OVERFLOWING_MONIC_FORM.split(","))))
     counts = _count_calls(monkeypatch, [(polynomial, "roots")])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, ["jury", "--coeffs", _OVERFLOWING_MONIC_FORM])
-        assert (code, err, counts["roots"]) == (0, "", 0)
-        with pytest.raises(ValueError, match="overflows the monic form") as refused:
-            polynomial.roots(p)
-    assert ("(1.1624677973629155e-151, 1.2727894204325296e-36, 9.326117272407438e+250, "
-            "-5.868211100992056e-81)") in str(refused.value)
+    assert (code, err, counts["roots"]) == (0, "", 0)
     assert [str(w.message) for w in caught] == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(np.linalg.LinAlgError):
+            polynomial.roots(p)
     payload = json.loads(out)
     assert payload["verdict"] == {"status": "unstable", "witness": 1, "method": "jury"}
     assert _records_agree_with_their_margins(payload["conditions"])

@@ -262,8 +262,8 @@ def test_char_poly_matches_determinant_expansion():
         entries = [[[-jac[i][j], 1.0] if i == j else [-jac[i][j]]
                     for j in range(n)] for i in range(n)]
         expanded = list(reversed(_det_poly(entries)))  # to descending powers
-        ours = roots(char_poly(params.tau, params.r, NONTRIVIAL)).roots
-        theirs = roots(Polynomial(expanded)).roots
+        ours = roots(char_poly(params.tau, params.r, NONTRIVIAL))
+        theirs = roots(Polynomial(expanded))
         _assert_same_roots(ours, theirs, 1e-8)
 
 
@@ -284,7 +284,7 @@ def test_char_poly_matches_jacobian_eigenvalues(point):
         params = DelayParams(r=rng.uniform(-1.8, 1.8), K=rng.uniform(0.5, 4000.0),
                              tau=tau)
         eigenvalues = np.linalg.eigvals(jacobian(params, point))
-        _assert_same_roots(roots(char_poly(tau, params.r, point)).roots, eigenvalues,
+        _assert_same_roots(roots(char_poly(tau, params.r, point)), eigenvalues,
                            1e-10)
 
 

@@ -452,7 +452,7 @@ def test_table_verdict_carries_its_table_and_conditions():
 def test_verdict_equality_ignores_the_evidence():
     p = Polynomial((1.0, -1.0, 0.5))
     verdict = jury_verdict(p)
-    assert max(abs(z) for z in roots(p).roots) < INNER_RADIUS
+    assert max(abs(z) for z in roots(p)) < INNER_RADIUS
     assert verdict == StabilityVerdict(STABLE, None, "jury")
     assert verdict == replace(verdict, table=jury_table(p, OUTER_RADIUS))
     assert hash(verdict) == hash(StabilityVerdict(STABLE, None, "jury"))

@@ -373,7 +373,7 @@ INSTABILITY_DELAYS = [1, 2, 5, 12, 17, 40]
 def test_dominant_root_crosses_at_the_predicted_angle(tau):
     p = char_poly(tau, (1.0 + 1e-6) * _candidate_threshold(tau), NONTRIVIAL)
     assert oracle_verdict(p).status == UNSTABLE
-    dominant = max(polynomial.roots(p).roots, key=abs)
+    dominant = max(polynomial.roots(p), key=abs)
     assert abs(abs(cmath.phase(dominant)) - math.pi / (2 * tau + 1)) <= 1e-6
 
 

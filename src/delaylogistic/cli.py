@@ -34,7 +34,6 @@ import json
 import math
 import re
 import sys
-from pathlib import Path
 
 from . import delay_map, discretization, jury, polynomial, sweep
 
@@ -379,7 +378,8 @@ def run(argv: list[str]) -> int:
         sys.stdout.write(output)
         return 0
     try:
-        Path(args.out).write_text(output, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(output)
     except OSError as exc:
         print(f"delaylogistic: error: cannot write {args.out}: "
               f"{exc.strerror or exc}", file=sys.stderr)

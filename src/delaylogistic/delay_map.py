@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomial import Polynomial
 
@@ -34,28 +33,29 @@ NONTRIVIAL = "nontrivial"
 DIVERGENCE_FACTOR = 1e12
 
 
-@dataclass(frozen=True)
-class DelayParams:
-    """Reproduction rate ``r``, carrying capacity ``K`` and delay ``tau``."""
-
+class _DelayParamsFields(NamedTuple):
     r: float
     K: float
     tau: int
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r!r}")
-        if not (math.isfinite(self.K) and self.K > 0):
-            raise ValueError(f"K must be positive and finite, got {self.K!r}")
-        if self.tau < 0 or self.tau != int(self.tau):
-            raise ValueError(f"tau must be a non-negative integer, got {self.tau!r}")
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "K", float(self.K))
-        object.__setattr__(self, "tau", int(self.tau))
+
+class DelayParams(_DelayParamsFields):
+    """Reproduction rate ``r``, carrying capacity ``K`` and delay ``tau``,
+    kept as float, float and int."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: float, K: float, tau: int) -> DelayParams:
+        if not math.isfinite(r):
+            raise ValueError(f"r must be finite, got {r!r}")
+        if not (math.isfinite(K) and K > 0):
+            raise ValueError(f"K must be positive and finite, got {K!r}")
+        if tau < 0 or tau != int(tau):
+            raise ValueError(f"tau must be a non-negative integer, got {tau!r}")
+        return super().__new__(cls, float(r), float(K), int(tau))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Recorded run, the seeded history included: ``values[i]`` is ``x``
     at step ``first_step + i``, with ``first_step = -tau``, so the value
     at step ``n`` is exactly ``x_n`` of the recurrence. ``diverged`` marks

@@ -8,7 +8,7 @@ which keeps it stable for every positive rate. Both fix 0 and K exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jury import StabilityVerdict, classify_modulus
 
@@ -20,25 +20,29 @@ class PoleError(ZeroDivisionError):
     """Evaluation at, or too close to, the ratio map's pole."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class _SchemeParamsFields(NamedTuple):
     r: float
     K: float
     h: float
     scheme: str
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.K) and self.K > 0):
-            raise ValueError(f"K must be positive and finite, got {self.K!r}")
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r!r}")
+
+class SchemeParams(_SchemeParamsFields):
+    __slots__ = ()
+
+    def __new__(cls, r: float, K: float, h: float, scheme: str) -> SchemeParams:
+        if not (math.isfinite(K) and K > 0):
+            raise ValueError(f"K must be positive and finite, got {K!r}")
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"h must be positive and finite, got {h!r}")
+        if not math.isfinite(r):
+            raise ValueError(f"r must be finite, got {r!r}")
         # every derivative and step goes through the product r*h
-        if not math.isfinite(self.r * self.h):
-            raise ValueError(f"r * h overflows: r={self.r!r}, h={self.h!r}")
-        if self.scheme not in (FORWARD, RATIO):
-            raise ValueError(f"scheme must be {FORWARD!r} or {RATIO!r}, got {self.scheme!r}")
+        if not math.isfinite(r * h):
+            raise ValueError(f"r * h overflows: r={r!r}, h={h!r}")
+        if scheme not in (FORWARD, RATIO):
+            raise ValueError(f"scheme must be {FORWARD!r} or {RATIO!r}, got {scheme!r}")
+        return super().__new__(cls, r, K, h, scheme)
 
 
 def _classify(derivative: float) -> StabilityVerdict:

@@ -52,7 +52,7 @@ the root oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .polynomial import Polynomial, normalize_leading, roots
 
@@ -81,8 +81,27 @@ _RESCALE_LOW = 2.0 ** -256
 _RESCALE_HIGH = 2.0 ** 256
 
 
-@dataclass(frozen=True)
-class JuryTable:
+def _compared_on_fields(count: int) -> tuple:
+    """``__eq__``, ``__ne__`` and ``__hash__`` for a record that compares
+    equal where its first ``count`` fields are, those past them being
+    evidence; a record equals only one of its own class."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:count] == other[:count]
+
+    def __ne__(self, other):
+        equal = __eq__(self, other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:count])
+
+    return __eq__, __ne__, __hash__
+
+
+class JuryTable(NamedTuple):
     """Reduction rows of ``p(radius * z)``, kept as their live entries.
 
     ``live[i]`` is row ``i``, ``live[0]`` the input row: the coefficients
@@ -108,7 +127,9 @@ class JuryTable:
     shifts: tuple[int, ...]
     radius: float
     readings: tuple[bool | None, ...]
-    terms: tuple[tuple[float, ...], ...] = field(compare=False)
+    terms: tuple[tuple[float, ...], ...]
+
+    __eq__, __ne__, __hash__ = _compared_on_fields(4)
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -123,8 +144,7 @@ class JuryTable:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Outcome of a stability test, with the evidence it rests on.
 
     ``status`` is one of stable / unstable / marginal; ``method`` names
@@ -139,7 +159,9 @@ class StabilityVerdict:
     status: str
     witness: float | int | None
     method: str
-    table: JuryTable | None = field(default=None, compare=False)
+    table: JuryTable | None = None
+
+    __eq__, __ne__, __hash__ = _compared_on_fields(3)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:

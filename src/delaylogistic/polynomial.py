@@ -13,32 +13,34 @@ of the roots does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class DegeneratePolynomialError(ValueError):
     """Zero leading coefficient: degree and root count are ill-defined."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _PolynomialFields(NamedTuple):
+    coeffs: tuple[float, ...]
+
+
+class Polynomial(_PolynomialFields):
     """Dense real polynomial in descending powers.
 
     Construction keeps the coefficients exactly as given (no stripping of
-    leading zeros); use :func:`normalize_leading` to enforce a positive
-    leading coefficient.
+    leading zeros), as floats; use :func:`normalize_leading` to enforce a
+    positive leading coefficient.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(float, self.coeffs))
+    def __new__(cls, coeffs: Sequence[float]) -> Polynomial:
+        coeffs = tuple(map(float, coeffs))
         if len(coeffs) < 1:
             raise ValueError("a polynomial needs at least one coefficient")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"non-finite coefficient in {coeffs!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:

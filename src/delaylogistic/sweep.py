@@ -21,7 +21,6 @@ takes 14 at delay 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .delay_map import NONTRIVIAL, char_poly
@@ -48,8 +47,7 @@ class StableReading(NamedTuple):
     guide: float
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Threshold at one delay.
 
     ``tables`` counts the trial rates, each one inner-radius table; it is
@@ -62,8 +60,7 @@ class BoundaryPoint:
     tables: int
 
 
-@dataclass(frozen=True)
-class BoundaryTable:
+class BoundaryTable(NamedTuple):
     points: tuple[BoundaryPoint, ...]
     monotone_decreasing: bool
 

@@ -689,6 +689,21 @@ def test_table_decided_commands_start_without_numpy(capsys):
             if name.split(".")[0] in ("numpy", "decimal", "_decimal", "_pydecimal")] == []
 
 
+@pytest.mark.parametrize("argv", _TABLE_DECIDED_ARGV, ids=" ".join)
+def test_a_fresh_start_loads_neither_dataclasses_nor_inspect(capsys, argv):
+    # the records are named tuples, so a start pays neither for dataclasses
+    # nor for the inspect, ast, dis and tokenize it pulls in
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "delaylogistic.cli",
+                           *argv], capture_output=True, text=True,
+                          env=_env_with_package(), timeout=60)
+    code, out, _ = _run(capsys, argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "delaylogistic.jury" in imported
+    assert {"dataclasses", "inspect"} & imported == set()
+
+
 def _count_calls(monkeypatch, names):
     """Count calls of the named package functions wherever they are looked up."""
     counts: Counter[str] = Counter()

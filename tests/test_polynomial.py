@@ -17,7 +17,7 @@ from delaylogistic.polynomial import (
     normalize_leading,
     roots,
 )
-from root_reference import residual
+from root_reference import _modulus, residual
 
 
 def _largest_modulus(p):
@@ -134,6 +134,8 @@ def test_residual_whose_modulus_overflows_is_inf():
                     1.267842439400661e-300, 1.2167013899152557, 0.0, 0.0, 0.0, 0.0,
                     -1.465630494362098e+300, 8.530112605216762e+199, 0.0))
     assert residual(p, roots(p)) == math.inf
+    # finite parts alone, so only the OverflowError path can give inf
+    assert _modulus(complex(1.5e308, 1.5e308)) == math.inf
 
 
 def test_residual_evaluates_each_distinct_root_once(monkeypatch):

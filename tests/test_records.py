@@ -1,0 +1,119 @@
+"""What the package's records promise their callers: they cannot be
+changed once built, the validating ones coerce and refuse their inputs,
+the verdict and the table leave their evidence out of equality, and each
+reads back as its constructor call."""
+
+import math
+import re
+
+import pytest
+
+from delaylogistic.delay_map import DelayParams, Trajectory
+from delaylogistic.discretization import FORWARD, SchemeParams
+from delaylogistic.jury import JuryTable, StabilityVerdict, jury_table
+from delaylogistic.polynomial import Polynomial
+from delaylogistic.sweep import BoundaryPoint, BoundaryTable, critical_r
+
+
+def _records():
+    point = BoundaryPoint(tau=0, r_critical=1.0, bracket_width=1e-10, tables=14)
+    table = jury_table(Polynomial((1.0, -1.0, 0.5)))
+    return [
+        (Polynomial((1.0, 0.5)), "coeffs"),
+        (DelayParams(r=0.5, K=1.0, tau=2), "tau"),
+        (Trajectory((0.5, 0.5), -1), "diverged"),
+        (SchemeParams(r=1.0, K=1.0, h=0.5, scheme=FORWARD), "r"),
+        (table, "terms"),
+        (StabilityVerdict("stable", None, "jury", table=table), "table"),
+        (point, "r_critical"),
+        (BoundaryTable(points=(point,), monotone_decreasing=True), "points"),
+    ]
+
+
+@pytest.mark.parametrize("record, field", _records(),
+                         ids=[type(record).__name__ for record, _ in _records()])
+def test_a_record_cannot_be_changed(record, field):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.note = "added"
+    assert repr(record) == before
+
+
+def test_verdict_equality_and_hash_ignore_the_table():
+    p = Polynomial((1.0, -1.0, 0.5))
+    bare = StabilityVerdict("stable", None, "jury")
+    assert bare.table is None
+    for table in (jury_table(p), jury_table(p, 2.0)):
+        verdict = StabilityVerdict("stable", None, "jury", table=table)
+        assert verdict == bare and not verdict != bare
+        assert hash(verdict) == hash(bare)
+    for other in (StabilityVerdict("unstable", None, "jury"),
+                  StabilityVerdict("stable", 1, "jury"),
+                  StabilityVerdict("stable", None, "derivative")):
+        assert other != bare and not other == bare
+
+
+def test_tables_that_differ_only_in_their_terms_are_equal():
+    table = jury_table(Polynomial((1.0, -1.0, 0.5)))
+    terms = tuple((0.0, 0.0, 0.0, 0.0) for _ in table.terms)
+    other = JuryTable(table.live, table.shifts, table.radius, table.readings, terms)
+    assert other.terms != table.terms
+    assert other == table and not other != table
+    assert hash(other) == hash(table)
+    flipped = JuryTable(table.live, table.shifts, table.radius,
+                        tuple(not reading for reading in table.readings), table.terms)
+    assert flipped != table and not flipped == table
+
+
+def test_validating_records_coerce_their_fields():
+    params = DelayParams(r=1, K=2, tau=3.0)
+    assert (params.r, params.K, params.tau) == (1.0, 2.0, 3)
+    assert [type(x) for x in (params.r, params.K, params.tau)] == [float, float, int]
+    p = Polynomial([1, -1, 0.5])
+    assert p.coeffs == (1.0, -1.0, 0.5) and type(p.coeffs) is tuple
+    assert [type(c) for c in p.coeffs] == [float, float, float]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DelayParams(r=math.nan, K=1.0, tau=0), "r must be finite, got nan"),
+    (lambda: DelayParams(r=0.5, K=0.0, tau=0), "K must be positive and finite, got 0.0"),
+    (lambda: DelayParams(r=0.5, K=math.inf, tau=0), "K must be positive and finite, got inf"),
+    (lambda: DelayParams(r=0.5, K=1.0, tau=-1),
+     "tau must be a non-negative integer, got -1"),
+    (lambda: DelayParams(r=0.5, K=1.0, tau=1.5),
+     "tau must be a non-negative integer, got 1.5"),
+    (lambda: Polynomial(()), "a polynomial needs at least one coefficient"),
+    (lambda: Polynomial((1.0, math.inf)), "non-finite coefficient in (1.0, inf)"),
+    (lambda: SchemeParams(r=1.0, K=-1.0, h=1.0, scheme=FORWARD),
+     "K must be positive and finite, got -1.0"),
+    (lambda: SchemeParams(r=1.0, K=1.0, h=0.0, scheme=FORWARD),
+     "h must be positive and finite, got 0.0"),
+    (lambda: SchemeParams(r=1.0, K=1.0, h=1.0, scheme="midpoint"),
+     "scheme must be 'forward' or 'ratio', got 'midpoint'"),
+])
+def test_validating_records_refuse_bad_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_records_read_back_as_their_constructor_calls():
+    assert repr(DelayParams(0.5, 1, 2)) == "DelayParams(r=0.5, K=1.0, tau=2)"
+    assert repr(Polynomial((1, -0.5))) == "Polynomial(coeffs=(1.0, -0.5))"
+    assert (repr(SchemeParams(1.0, 1.0, 0.5, FORWARD))
+            == "SchemeParams(r=1.0, K=1.0, h=0.5, scheme='forward')")
+    assert (repr(Trajectory((0.5,), 0))
+            == "Trajectory(values=(0.5,), first_step=0, diverged=False)")
+    assert (repr(StabilityVerdict("marginal", 1, "jury"))
+            == "StabilityVerdict(status='marginal', witness=1, method='jury', table=None)")
+    table = jury_table(Polynomial((1.0, 0.5)))
+    assert repr(table) == ("JuryTable(live=((1.0, 0.5),), shifts=(0,), radius=1.0, "
+                           f"readings=(True,), terms={table.terms!r})")
+    point = critical_r(0)
+    assert repr(point) == (f"BoundaryPoint(tau=0, r_critical={point.r_critical!r}, "
+                           f"bracket_width={point.bracket_width!r}, tables={point.tables})")
+    assert (repr(BoundaryTable((), False))
+            == "BoundaryTable(points=(), monotone_decreasing=False)")

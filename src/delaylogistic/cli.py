@@ -7,13 +7,13 @@ error (also an ``--out`` path that cannot be written), 2 numeric failure
 ``r * h`` that overflows in ``discretize``, or a ``jury`` input of degree 0
 or with a zero leading coefficient).
 
-Every `stability` and `jury` verdict comes from the reduction table, which
-reads any polynomial of degree >= 1 (its trailing zeros dropped), however
-widely its coefficients range; no command loads numpy. A `jury` payload's
-`table_rows` and `table_shifts` are always the double table, each row
-defined up to a positive factor; where the 60-digit re-read gave the
-readings, the `conditions` records come from the 60-digit table of the
-unrounded input instead.
+Every `stability`, `jury` and `discretize` verdict comes from the reduction
+table, which reads any polynomial of degree >= 1 (its trailing zeros
+dropped), however widely its coefficients range; no command loads numpy.
+A `jury` payload's `table_rows` and `table_shifts` are always the double
+table, each row defined up to a positive factor; where the 60-digit
+re-read gave the readings, the `conditions` records come from the 60-digit
+table of the unrounded input instead.
 
 The argument parser is built once per process, at import, and `run` keeps
 no state between calls, so a process may call it any number of times. An
@@ -329,14 +329,13 @@ def _cmd_jury(args: argparse.Namespace) -> dict | list[str]:
 def _cmd_discretize(args: argparse.Namespace) -> dict | list[str]:
     params = discretization.SchemeParams(r=args.r, K=args.K, h=args.h,
                                          scheme=args.scheme)
-    at_zero, at_capacity = discretization.scheme_stability(params)
+    derivatives = discretization.fixed_point_derivatives(params)
+    verdicts = discretization.scheme_stability(params)
     return {
         "scheme": params.scheme, "r": params.r, "h": params.h, "K": params.K,
         "fixed_points": [
-            {"x": 0.0, "derivative": at_zero.witness,
-             "verdict": _verdict_payload(at_zero)},
-            {"x": params.K, "derivative": at_capacity.witness,
-             "verdict": _verdict_payload(at_capacity)},
+            {"x": x, "derivative": derivative, "verdict": _verdict_payload(verdict)}
+            for x, derivative, verdict in zip((0.0, params.K), derivatives, verdicts)
         ],
     }
 
@@ -352,13 +351,6 @@ _COMMANDS = {
     "discretize": _cmd_discretize,
 }
 
-_NUMERIC_ERRORS = (
-    sweep.BracketingError,
-    discretization.PoleError,
-    ValueError,
-)
-
-
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
     try:
@@ -369,7 +361,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
+    except ValueError as exc:  # BracketingError and PoleError too
         print(f"delaylogistic: error: {exc}", file=sys.stderr)
         return 2
     lines = [_json(result)] if isinstance(result, dict) else result

@@ -23,7 +23,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, validating_make
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
@@ -44,6 +44,7 @@ class DelayParams(_DelayParamsFields):
     kept as float, float and int."""
 
     __slots__ = ()
+    _make = validating_make
 
     def __new__(cls, r: float, K: float, tau: int) -> DelayParams:
         if not math.isfinite(r):

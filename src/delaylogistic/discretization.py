@@ -3,6 +3,7 @@
 Two maps with step size ``h``: the explicit update, which caps the stable
 range of the carrying-capacity point at ``r < 2/h``, and the ratio update,
 which keeps it stable for every positive rate. Both fix 0 and K exactly.
+Each fixed point is read off the reduction table of its linearization.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .jury import StabilityVerdict, classify_modulus
+from .jury import StabilityVerdict, jury_verdict
+from .polynomial import Polynomial, validating_make
 
 FORWARD = "forward"
 RATIO = "ratio"
 
 
-class PoleError(ZeroDivisionError):
+class PoleError(ValueError):
     """Evaluation at, or too close to, the ratio map's pole."""
 
 
@@ -29,6 +31,7 @@ class _SchemeParamsFields(NamedTuple):
 
 class SchemeParams(_SchemeParamsFields):
     __slots__ = ()
+    _make = validating_make
 
     def __new__(cls, r: float, K: float, h: float, scheme: str) -> SchemeParams:
         if not (math.isfinite(K) and K > 0):
@@ -45,22 +48,22 @@ class SchemeParams(_SchemeParamsFields):
         return super().__new__(cls, r, K, h, scheme)
 
 
-def _classify(derivative: float) -> StabilityVerdict:
-    return StabilityVerdict(classify_modulus(abs(derivative)), witness=derivative,
-                            method="derivative")
+def fixed_point_derivatives(p: SchemeParams) -> tuple[float, float]:
+    """The scheme's derivatives at its fixed points (X=0, X=K), in closed form.
+
+    Forward: f'(0) = 1 + rh, f'(K) = 1 - rh.
+    Ratio:   f'(0) = 1 + rh, f'(K) = 1 / (1 + rh); raises
+    :class:`PoleError` at rh = -1."""
+    rh = p.r * p.h
+    if p.scheme == FORWARD:
+        return 1.0 + rh, 1.0 - rh
+    if 1.0 + rh == 0.0:
+        raise PoleError("ratio map degenerates at r*h = -1")
+    return 1.0 + rh, 1.0 / (1.0 + rh)
 
 
 def scheme_stability(p: SchemeParams) -> tuple[StabilityVerdict, StabilityVerdict]:
-    """Verdicts at the fixed points (X=0, X=K) from closed-form derivatives.
-
-    Forward: f'(0) = 1 + rh, f'(K) = 1 - rh.
-    Ratio:   f'(0) = 1 + rh, f'(K) = 1 / (1 + rh).
-    """
-    rh = p.r * p.h
-    if p.scheme == FORWARD:
-        d_zero, d_capacity = 1.0 + rh, 1.0 - rh
-    else:
-        if 1.0 + rh == 0.0:
-            raise PoleError("ratio map degenerates at r*h = -1")
-        d_zero, d_capacity = 1.0 + rh, 1.0 / (1.0 + rh)
-    return _classify(d_zero), _classify(d_capacity)
+    """Verdicts at the fixed points (X=0, X=K): the table verdict of each
+    linearization ``lambda - d``, ``d`` from :func:`fixed_point_derivatives`.
+    Its one condition is ``|d| < radius``, so a witness is 1 or None."""
+    return tuple([jury_verdict(Polynomial((1.0, -d))) for d in fixed_point_derivatives(p)])

@@ -28,12 +28,12 @@ row step, :func:`_reduced`, and one condition function,
 :func:`_condition_terms`, serve both arithmetics, doubles and decimals.
 
 One unit-circle rule decides every verdict: a root modulus within
-MARGIN_TOL of 1 is marginal. :func:`classify_modulus` applies it to a
-modulus, for the one-step schemes and for the root oracle
-(:func:`oracle_verdict`), the reference that the tests check the table
-against and that no command calls; the table applies it through radii,
-since the spectral radius of ``p`` is below ``s`` exactly when ``p(s z)``
-has every root inside the unit circle. The verdict runs the table of
+MARGIN_TOL of 1 is marginal. It lives in the radii INNER_RADIUS and
+OUTER_RADIUS, 1 -+ MARGIN_TOL, through which the table applies it, since
+the spectral radius of ``p`` is below ``s`` exactly when ``p(s z)`` has
+every root inside the unit circle; the root oracle (:func:`oracle_verdict`),
+the tests' reference that no command calls, compares its spectral radius
+with them. The verdict runs the table of
 ``p((1 - MARGIN_TOL) z)`` and reads ``stable`` when every condition holds;
 otherwise it runs ``p((1 + MARGIN_TOL) z)`` and reads ``unstable`` when a
 condition fails, else ``marginal``. :func:`jury_table` computes every
@@ -64,8 +64,8 @@ MARGINAL = "marginal"
 JURY = "jury"
 ORACLE = "oracle"
 
-# A root modulus within MARGIN_TOL of 1 is marginal: classify_modulus
-# reads that off a modulus, the table off its runs at the two radii.
+# A root modulus within MARGIN_TOL of 1 is marginal: the table reads that
+# off its runs at the two radii, the root oracle off its spectral radius.
 MARGIN_TOL = 1e-12
 INNER_RADIUS = 1.0 - MARGIN_TOL
 OUTER_RADIUS = 1.0 + MARGIN_TOL
@@ -148,12 +148,11 @@ class StabilityVerdict(NamedTuple):
     """Outcome of a stability test, with the evidence it rests on.
 
     ``status`` is one of stable / unstable / marginal; ``method`` names
-    the test: JURY ("jury"), ORACLE ("oracle") or "derivative" (a one-step
-    scheme of :mod:`discretization`, whose witness is the derivative). A
-    JURY ``witness`` indexes a condition of its ``table``: the first that
-    fails at the outer radius (unstable) or does not hold at the inner one
-    (marginal). An ORACLE witness is the spectral radius. The ``table``
-    does not take part in equality.
+    the test: JURY ("jury") or ORACLE ("oracle"). A JURY ``witness``
+    indexes a condition of its ``table``: the first that fails at the
+    outer radius (unstable) or does not hold at the inner one (marginal).
+    An ORACLE witness is the spectral radius. The ``table`` does not take
+    part in equality.
     """
 
     status: str
@@ -337,15 +336,12 @@ def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[tuple, 
         return _readings(terms), _as_doubles(terms)
 
 
-def classify_modulus(modulus: float) -> str:
-    """The unit-circle rule: marginal within MARGIN_TOL of 1."""
-    return STABLE if modulus < INNER_RADIUS else UNSTABLE if modulus > OUTER_RADIUS else MARGINAL
-
-
 def oracle_verdict(p: Polynomial) -> StabilityVerdict:
-    """Classify by the largest root modulus, independent of the table."""
+    """Classify by the largest root modulus, independent of the table:
+    marginal from INNER_RADIUS to OUTER_RADIUS."""
     rho = max(map(abs, roots(p)))
-    return StabilityVerdict(classify_modulus(rho), witness=rho, method=ORACLE)
+    status = STABLE if rho < INNER_RADIUS else UNSTABLE if rho > OUTER_RADIUS else MARGINAL
+    return StabilityVerdict(status, witness=rho, method=ORACLE)
 
 
 def jury_verdict(p: Polynomial) -> StabilityVerdict:

@@ -20,6 +20,12 @@ class DegeneratePolynomialError(ValueError):
     """Zero leading coefficient: degree and root count are ill-defined."""
 
 
+@classmethod
+def validating_make(cls, iterable):
+    """A named tuple's ``_make``, and so its ``_replace``, through ``__new__``."""
+    return cls(*iterable)
+
+
 class _PolynomialFields(NamedTuple):
     coeffs: tuple[float, ...]
 
@@ -33,6 +39,7 @@ class Polynomial(_PolynomialFields):
     """
 
     __slots__ = ()
+    _make = validating_make
 
     def __new__(cls, coeffs: Sequence[float]) -> Polynomial:
         coeffs = tuple(map(float, coeffs))

@@ -34,7 +34,7 @@ _BRACKET_CAP = 4.0
 _BRACKET_FLOOR = 1e-9
 
 
-class BracketingError(RuntimeError):
+class BracketingError(ValueError):
     """No stable/unstable flip found within the allowed rate range."""
 
 

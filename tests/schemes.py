@@ -1,6 +1,7 @@
 """One step of each scheme of ``discretization``: the maps whose fixed
-points and derivatives ``scheme_stability`` reads in closed form, held here
-to those fixed points and, for the forward scheme, to the delay map."""
+points and derivatives ``fixed_point_derivatives`` gives in closed form,
+held here to those fixed points and, for the forward scheme, to the delay
+map."""
 
 from delaylogistic.delay_map import _advance
 from delaylogistic.discretization import FORWARD, PoleError, SchemeParams

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaylogistic import cli, jury, polynomial
+from delaylogistic import cli, discretization, jury, polynomial, sweep
 from delaylogistic.delay_map import DelayParams, simulate, step
 
 
@@ -81,7 +81,7 @@ def _run(capsys, argv):
     (["tables", "--format", "json"],
      "a8356bed9c13ee93ed28c9fe150555ceab5f830067e15ea73ee1dc17ff03e2bc"),
     (["discretize", "--scheme", "ratio", "--r", "100", "--h", "1", "--K", "1"],
-     "83fa4d8184f6c1e265e8cef8148b3c739bba5bb5b541b7de6d621a60387b1cc2"),
+     "3cea94a0b9ae388edbcb0882bc734d05116e04e79e4d9a0645f299ccf3ed4cd9"),
     # a re-read table far outside a double's range: the double table loses
     # the 1e-300, so its records are the decimal re-read's terms
     (["jury", "--coeffs", "1,1e200,0,1e-300"],
@@ -653,6 +653,8 @@ _TABLE_DECIDED_ARGV = [
     ["tables"],
     ["simulate", "--r", "0.5", "--K", "1", "--tau", "2", "--x0", "0.5", "--steps", "20"],
     ["discretize", "--scheme", "ratio", "--r", "1", "--h", "1", "--K", "1"],
+    # f'(K) = 1 / (1 + 1e308) is subnormal, so its table is read in decimal
+    ["discretize", "--scheme", "ratio", "--r", "1e154", "--h", "1e154", "--K", "1"],
 ]
 
 _IN_FRESH_INTERPRETER = """
@@ -791,6 +793,9 @@ def test_discretize_payload(capsys):
     assert zero["x"] == 0.0 and zero["verdict"]["status"] == "unstable"
     assert capacity["x"] == 1.0 and capacity["verdict"]["status"] == "stable"
     assert capacity["derivative"] == 0.0  # 1 - rh at r = h = 1
+    # each fixed point is the degree-1 table of lambda - derivative
+    assert zero["verdict"] == {"status": "unstable", "witness": 1, "method": "jury"}
+    assert capacity["verdict"] == {"status": "stable", "witness": None, "method": "jury"}
 
 
 def test_discretize_ratio_large_rate_stays_stable(capsys):
@@ -820,6 +825,12 @@ def test_discretize_overflowing_rate_step_is_numeric_failure(capsys, scheme):
                                        "--r", "-1", "--h", "1", "--K", "1"])
         assert (code, out) == (2, "")
         assert err == "delaylogistic: error: ratio map degenerates at r*h = -1\n"
+
+
+def test_every_numeric_error_is_a_value_error():
+    # `run` turns a ValueError into exit 2, and these are the package's own
+    assert issubclass(sweep.BracketingError, ValueError)
+    assert issubclass(discretization.PoleError, ValueError)
 
 
 @pytest.mark.parametrize("argv", [

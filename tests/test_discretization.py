@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,18 @@ from delaylogistic.discretization import (
     RATIO,
     PoleError,
     SchemeParams,
+    fixed_point_derivatives,
     scheme_stability,
 )
-from delaylogistic.jury import MARGINAL, STABLE, UNSTABLE
+from delaylogistic.jury import (
+    INNER_RADIUS,
+    MARGINAL,
+    OUTER_RADIUS,
+    STABLE,
+    UNSTABLE,
+    jury_verdict,
+)
+from delaylogistic.polynomial import Polynomial
 from schemes import scheme_step
 
 
@@ -122,9 +132,48 @@ def test_ratio_capacity_stable_across_rate_magnitudes():
 
 
 def test_scheme_stability_reports_derivatives():
-    at_zero, at_capacity = scheme_stability(_forward(0.5, 1.0, 1.0))
-    assert at_zero.witness == pytest.approx(1.5)
-    assert at_capacity.witness == pytest.approx(0.5)
-    assert at_zero.method == "derivative"
-    at_zero, at_capacity = scheme_stability(_ratio(100.0, 1.0, 1.0))
-    assert at_capacity.witness == pytest.approx(1.0 / 101.0)
+    params = _forward(0.5, 1.0, 1.0)
+    assert fixed_point_derivatives(params) == (1.5, 0.5)
+    at_zero, at_capacity = scheme_stability(params)
+    assert (at_zero.method, at_capacity.method) == ("jury", "jury")
+    # the table of lambda - d has one condition, |d| < radius
+    assert (at_zero.witness, at_capacity.witness) == (1, None)
+    params = _ratio(100.0, 1.0, 1.0)
+    assert fixed_point_derivatives(params) == (101.0, pytest.approx(1.0 / 101.0))
+    assert [v.witness for v in scheme_stability(params)] == [1, None]
+    with pytest.raises(PoleError, match=r"^ratio map degenerates at r\*h = -1$"):
+        fixed_point_derivatives(_ratio(-1.0, 1.0, 1.0))
+
+
+def _modulus_rule(d):
+    """The unit-circle rule on a derivative: marginal within MARGIN_TOL of 1."""
+    return STABLE if abs(d) < INNER_RADIUS else UNSTABLE if abs(d) > OUTER_RADIUS else MARGINAL
+
+
+def _neighbours(x, count):
+    """``x`` and the ``count`` doubles either side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+def test_a_degree_one_table_reads_what_the_modulus_rule_reads():
+    # a fixed point with derivative d is the table of lambda - d, whose input
+    # row is (radius, -d): the doubles decide |d| < radius away from the
+    # radii, the 60-digit re-read inside their rounding band and wherever
+    # the input row holds a subnormal
+    rng = random.Random(31)
+    grid = [0.0, 5e-324, sys.float_info.max]
+    for centre in (1.0, INNER_RADIUS, OUTER_RADIUS):
+        grid += _neighbours(centre, 40)
+    grid += [10.0 ** rng.uniform(-310.0, 308.0) for _ in range(10000)]
+    seen = set()
+    for d in grid + [-d for d in grid]:
+        verdict = jury_verdict(Polynomial((1.0, -d)))
+        expected = _modulus_rule(d)
+        assert (verdict.status, verdict.method) == (expected, "jury"), d
+        assert verdict.witness == (None if expected == STABLE else 1), d
+        seen.add(expected)
+    assert seen == {STABLE, UNSTABLE, MARGINAL}

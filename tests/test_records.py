@@ -53,7 +53,7 @@ def test_verdict_equality_and_hash_ignore_the_table():
         assert hash(verdict) == hash(bare)
     for other in (StabilityVerdict("unstable", None, "jury"),
                   StabilityVerdict("stable", 1, "jury"),
-                  StabilityVerdict("stable", None, "derivative")):
+                  StabilityVerdict("stable", None, "oracle")):
         assert other != bare and not other == bare
 
 
@@ -98,6 +98,22 @@ def test_validating_records_coerce_their_fields():
 def test_validating_records_refuse_bad_fields(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_make_and_replace_check_and_coerce_as_the_constructor_does():
+    # a named tuple's own _make and _replace build the tuple past __new__
+    params = DelayParams(0.5, 1.0, 2)
+    with pytest.raises(ValueError, match="^K must be positive and finite, got 0.0$"):
+        params._replace(K=0.0)
+    with pytest.raises(ValueError, match="^could not convert string to float: 'x'$"):
+        Polynomial._make([[1, "x"]])
+    with pytest.raises(ValueError, match="^h must be positive and finite, got -1.0$"):
+        SchemeParams(1.0, 1.0, 0.5, FORWARD)._replace(h=-1.0)
+    replaced = params._replace(tau=3.0)
+    assert replaced == DelayParams(0.5, 1.0, 3) and type(replaced) is DelayParams
+    assert type(replaced.tau) is int
+    made = Polynomial._make([[1, 2]])
+    assert made.coeffs == (1.0, 2.0) and type(made) is Polynomial
 
 
 def test_records_read_back_as_their_constructor_calls():

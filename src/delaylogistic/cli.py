@@ -330,7 +330,7 @@ def _cmd_discretize(args: argparse.Namespace) -> dict | list[str]:
     params = discretization.SchemeParams(r=args.r, K=args.K, h=args.h,
                                          scheme=args.scheme)
     derivatives = discretization.fixed_point_derivatives(params)
-    verdicts = discretization.scheme_stability(params)
+    verdicts = discretization.scheme_stability(derivatives)
     return {
         "scheme": params.scheme, "r": params.r, "h": params.h, "K": params.K,
         "fixed_points": [

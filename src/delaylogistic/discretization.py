@@ -62,8 +62,8 @@ def fixed_point_derivatives(p: SchemeParams) -> tuple[float, float]:
     return 1.0 + rh, 1.0 / (1.0 + rh)
 
 
-def scheme_stability(p: SchemeParams) -> tuple[StabilityVerdict, StabilityVerdict]:
+def scheme_stability(derivatives: tuple[float, float]) -> tuple[StabilityVerdict, StabilityVerdict]:
     """Verdicts at the fixed points (X=0, X=K): the table verdict of each
-    linearization ``lambda - d``, ``d`` from :func:`fixed_point_derivatives`.
+    ``lambda - d``, ``d`` the derivatives :func:`fixed_point_derivatives` gives.
     Its one condition is ``|d| < radius``, so a witness is 1 or None."""
-    return tuple([jury_verdict(Polynomial((1.0, -d))) for d in fixed_point_derivatives(p)])
+    return tuple([jury_verdict(Polynomial((1.0, -d))) for d in derivatives])

@@ -81,42 +81,24 @@ _RESCALE_LOW = 2.0 ** -256
 _RESCALE_HIGH = 2.0 ** 256
 
 
-def _compared_on_fields(count: int) -> tuple:
-    """``__eq__``, ``__ne__`` and ``__hash__`` for a record that compares
-    equal where its first ``count`` fields are, those past them being
-    evidence; a record equals only one of its own class."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:count] == other[:count]
-
-    def __ne__(self, other):
-        equal = __eq__(self, other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:count])
-
-    return __eq__, __ne__, __hash__
-
-
 class JuryTable(NamedTuple):
     """Reduction rows of ``p(radius * z)``, kept as their live entries.
 
     ``live[i]`` is row ``i``, ``live[0]`` the input row: the coefficients
     of ``p`` without its trailing zeros, brought into range, scaled by the
     radius. A row whose interior is zeros of one sign is kept as ``(first,
-    zero, penultimate, last)``; :attr:`rows` writes every row out in full. ``shifts[i]`` is the
-    exponent of the power of two that row ``i`` was multiplied by, 0 for
-    every row that stayed within [2**-256, 2**256].
+    zero, penultimate, last)``; :attr:`rows` writes every row out in full.
+    ``shifts[i]`` is the exponent of the power of two that row ``i`` was
+    multiplied by, 0 for every row that stayed within [2**-256, 2**256].
 
     ``readings[i]`` is condition ``i + 1`` as read off the table (see
     :func:`jury_conditions`), and ``terms[i]`` its ``(lhs, rhs, margin,
     rounding)`` in doubles, from the arithmetic that gave the readings:
     the double rows, or where the decimal re-read gave them, the 60-digit
     table of the unrounded input, each condition scaled by a power of ten
-    (see :func:`_as_doubles`). Terms are not compared.
+    (see :func:`_as_doubles`). A table compares as the tuple it is, terms
+    included, so one whose rounding estimate is NaN (an infinite estimate
+    times a zero) does not equal a rebuilt copy of itself.
 
     ``live``, ``shifts`` and :attr:`rows` are always the double table,
     also where its readings come from the re-read. Each row is defined
@@ -128,8 +110,6 @@ class JuryTable(NamedTuple):
     radius: float
     readings: tuple[bool | None, ...]
     terms: tuple[tuple[float, ...], ...]
-
-    __eq__, __ne__, __hash__ = _compared_on_fields(4)
 
     @property
     def rows(self) -> tuple[tuple[float, ...], ...]:
@@ -151,16 +131,13 @@ class StabilityVerdict(NamedTuple):
     the test: JURY ("jury") or ORACLE ("oracle"). A JURY ``witness``
     indexes a condition of its ``table``: the first that fails at the
     outer radius (unstable) or does not hold at the inner one (marginal).
-    An ORACLE witness is the spectral radius. The ``table`` does not take
-    part in equality.
+    An ORACLE witness is the spectral radius.
     """
 
     status: str
     witness: float | int | None
     method: str
     table: JuryTable | None = None
-
-    __eq__, __ne__, __hash__ = _compared_on_fields(3)
 
 
 def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:

@@ -21,7 +21,13 @@ from delaylogistic.delay_map import (
     simulate,
     step,
 )
-from delaylogistic.discretization import FORWARD, RATIO, SchemeParams, scheme_stability
+from delaylogistic.discretization import (
+    FORWARD,
+    RATIO,
+    SchemeParams,
+    fixed_point_derivatives,
+    scheme_stability,
+)
 from delaylogistic.jury import (
     STABLE,
     UNSTABLE,
@@ -123,11 +129,11 @@ def test_criterion_6_one_step_scheme_claims():
         flip = 2.0 / h
         below = SchemeParams(r=flip - 1e-6, K=1.0, h=h, scheme=FORWARD)
         above = SchemeParams(r=flip + 1e-6, K=1.0, h=h, scheme=FORWARD)
-        ok &= scheme_stability(below)[1].status == STABLE
-        ok &= scheme_stability(above)[1].status == UNSTABLE
+        ok &= scheme_stability(fixed_point_derivatives(below))[1].status == STABLE
+        ok &= scheme_stability(fixed_point_derivatives(above))[1].status == UNSTABLE
     for r in np.logspace(-3.0, 3.0, 20):
         params = SchemeParams(r=float(r), K=1.0, h=1.0, scheme=RATIO)
-        ok &= scheme_stability(params)[1].status == STABLE
+        ok &= scheme_stability(fixed_point_derivatives(params))[1].status == STABLE
     elapsed = time.perf_counter() - start
     _report("criterion 6: explicit scheme flips at 2/h, ratio scheme never does",
             ok, elapsed, 1.0)

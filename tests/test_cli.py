@@ -827,6 +827,24 @@ def test_discretize_overflowing_rate_step_is_numeric_failure(capsys, scheme):
         assert err == "delaylogistic: error: ratio map degenerates at r*h = -1\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("boundary --tau-max 2 --tol 0", "tol must be positive, got 0.0"),
+    ("boundary --tau-max 2 --tol -1e-10", "tol must be positive, got -1e-10"),
+    ("simulate --r 0.5 --K 0 --tau 1 --x0 1 --steps 1",
+     "K must be positive and finite, got 0.0"),
+    ("discretize --scheme forward --r 1 --h 0 --K 1",
+     "h must be positive and finite, got 0.0"),
+    ("discretize --scheme ratio --r 1 --h 1 --K -1",
+     "K must be positive and finite, got -1.0"),
+    ("jury --coeffs 5", "reduction table needs degree >= 1, got 0"),
+])
+def test_out_of_range_input_is_numeric_failure(capsys, argv, message):
+    # parsed, then refused by the record or the table it builds: exit 2
+    code, out, err = _run(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"delaylogistic: error: {message}\n"
+
+
 def test_every_numeric_error_is_a_value_error():
     # `run` turns a ValueError into exit 2, and these are the package's own
     assert issubclass(sweep.BracketingError, ValueError)

@@ -108,39 +108,43 @@ def test_forward_matches_zero_delay_map_bitwise_at_unit_step():
         assert scheme_value == map_value  # bitwise
 
 
+def _verdicts(params):
+    return scheme_stability(fixed_point_derivatives(params))
+
+
 def test_forward_scheme_stability_examples():
-    at_zero, at_capacity = scheme_stability(_forward(1.0, 1.0, 1.0))
+    at_zero, at_capacity = _verdicts(_forward(1.0, 1.0, 1.0))
     assert at_zero.status == UNSTABLE
     assert at_capacity.status == STABLE
-    at_zero, at_capacity = scheme_stability(_forward(3.0, 1.0, 1.0))
+    at_zero, at_capacity = _verdicts(_forward(3.0, 1.0, 1.0))
     assert at_capacity.status == UNSTABLE
 
 
 @pytest.mark.parametrize("h", [0.1, 0.5, 1.0, 2.0])
 def test_forward_capacity_verdict_flips_at_two_over_h(h):
     flip = 2.0 / h
-    assert scheme_stability(_forward(flip - 1e-6, 1.0, h))[1].status == STABLE
-    assert scheme_stability(_forward(flip + 1e-6, 1.0, h))[1].status == UNSTABLE
-    assert scheme_stability(_forward(flip, 1.0, h))[1].status == MARGINAL
+    assert _verdicts(_forward(flip - 1e-6, 1.0, h))[1].status == STABLE
+    assert _verdicts(_forward(flip + 1e-6, 1.0, h))[1].status == UNSTABLE
+    assert _verdicts(_forward(flip, 1.0, h))[1].status == MARGINAL
 
 
 def test_ratio_capacity_stable_across_rate_magnitudes():
     for r in np.logspace(-3, 3, 25):
-        at_zero, at_capacity = scheme_stability(_ratio(float(r), 1.0, 1.0))
+        at_zero, at_capacity = _verdicts(_ratio(float(r), 1.0, 1.0))
         assert at_capacity.status == STABLE
         assert at_zero.status == UNSTABLE
 
 
 def test_scheme_stability_reports_derivatives():
-    params = _forward(0.5, 1.0, 1.0)
-    assert fixed_point_derivatives(params) == (1.5, 0.5)
-    at_zero, at_capacity = scheme_stability(params)
+    derivatives = fixed_point_derivatives(_forward(0.5, 1.0, 1.0))
+    assert derivatives == (1.5, 0.5)
+    at_zero, at_capacity = scheme_stability(derivatives)
     assert (at_zero.method, at_capacity.method) == ("jury", "jury")
     # the table of lambda - d has one condition, |d| < radius
     assert (at_zero.witness, at_capacity.witness) == (1, None)
-    params = _ratio(100.0, 1.0, 1.0)
-    assert fixed_point_derivatives(params) == (101.0, pytest.approx(1.0 / 101.0))
-    assert [v.witness for v in scheme_stability(params)] == [1, None]
+    derivatives = fixed_point_derivatives(_ratio(100.0, 1.0, 1.0))
+    assert derivatives == (101.0, pytest.approx(1.0 / 101.0))
+    assert [v.witness for v in scheme_stability(derivatives)] == [1, None]
     with pytest.raises(PoleError, match=r"^ratio map degenerates at r\*h = -1$"):
         fixed_point_derivatives(_ratio(-1.0, 1.0, 1.0))
 

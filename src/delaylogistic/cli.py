@@ -30,6 +30,7 @@ each container at C level instead.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -224,20 +225,33 @@ _JSON_NULL_SAMPLE = _JSON_SAMPLE.replace("%r", "null")
 def _render_samples(trajectory: delay_map.Trajectory, sample: str, separator: str,
                     null_sample: str | None = None) -> str:
     """Every sample of the run by the template `sample`, between
-    `separator`s, in one C-level format over a flat (step, x, step, x, ...)
-    tuple. With `null_sample`, a non-finite last sample is rendered by it
-    from its step alone; only the last sample of a run can be non-finite.
+    `separator`s, in one C-level format. With `null_sample`, a non-finite
+    last sample is rendered by it from its step alone; only the last sample
+    of a run can be non-finite.
+
+    The run of equal values that ends the record, which is most of a run
+    that settles, has its x formatted once, into the template, so that
+    tail formats only its steps; the head before it goes by (step, x)
+    pairs.
     """
     values = trajectory.values
     n = len(values)
-    flat: list = [0] * (2 * n)
-    flat[::2] = range(trajectory.first_step, trajectory.first_step + n)
-    flat[1::2] = values
-    last = sample
-    if null_sample is not None and not math.isfinite(values[-1]):
+    x = values[-1]
+    if null_sample is not None and not math.isfinite(x):
         last = null_sample
-        del flat[-1]
-    return ((sample + separator) * (n - 1) + last) % tuple(flat)
+    else:  # the step conversion, escaped, outlives formatting x in
+        last = sample.replace("%d", "%%d") % x
+    # == takes -0.0 for 0.0, so a zero tail is only its last sample
+    tail = (len(list(next(itertools.groupby(reversed(values)))[1]))
+            if x and math.isfinite(x) else 1)
+    head = n - tail
+    first = trajectory.first_step
+    flat: list = [0] * (2 * head)
+    flat[::2] = range(first, first + head)
+    flat[1::2] = values[:head]
+    flat += range(first + head, first + n)
+    return ((sample + separator) * head + (last + separator) * (tail - 1)
+            + last) % tuple(flat)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict | list[str]:

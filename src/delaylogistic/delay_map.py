@@ -9,7 +9,11 @@ first, advanced by
 definition of the update. :func:`simulate` records ``values[i]``, ``x`` at
 step ``first_step + i``, and reads ``x_{n-tau}`` off that record, so a long
 run costs O(1) per step at any delay; it writes the update inline, term for
-term as ``_advance`` does, so the two agree bitwise.
+term as ``_advance`` does, so the two agree bitwise. A run whose history
+settles on a non-zero fixed point of the update, in doubles, stops
+stepping and repeats that value to the end, so a long stable run costs what
+its settling costs. Zero is left to the loop: ``==`` cannot tell -0.0 from
++0.0, and a history of -0.0 steps to +0.0 when r < 0.
 
 Both constant histories at 0 and at K are fixed points; their Jacobians
 are companion-shaped with a shift block on the superdiagonal, so their
@@ -31,6 +35,10 @@ NONTRIVIAL = "nontrivial"
 # A sample beyond this multiple of K is treated as divergence and stops
 # the run loudly instead of overflowing into inf/nan silently.
 DIVERGENCE_FACTOR = 1e12
+
+# `simulate` steps in blocks of at least this many steps, and tests between
+# blocks whether the run has settled on a fixed point
+_SETTLE_BLOCK = 4096
 
 
 class _DelayParamsFields(NamedTuple):
@@ -99,6 +107,13 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     Stops early with ``diverged=True`` once a value is non-finite or
     exceeds ``DIVERGENCE_FACTOR * K`` in magnitude; the offending value is
     kept in the record.
+
+    Steps go in blocks; before each, a history of ``tau + 1`` copies of one
+    non-zero value ``x`` within that limit, with ``x + r * x * (1 - x / K)
+    == x``, has settled: by induction every later value is ``x``, bit for
+    bit, so the rest of the record is filled with it. Zero is excluded
+    because ``==`` takes -0.0 for +0.0, and -0.0 steps to +0.0 when r < 0;
+    nan never compares equal.
     """
     state = _check_state(params, init)
     if any(not math.isfinite(x) for x in state):
@@ -112,14 +127,25 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     # one comparison fails for a runaway, an infinite and a nan value alike;
     # the clamp keeps it failing for inf when DIVERGENCE_FACTOR * K overflows
     limit = min(DIVERGENCE_FACTOR * K, sys.float_info.max)
+    block = max(tau + 1, _SETTLE_BLOCK)
     diverged = False
     x = values[-1]
-    for i in range(n_steps):  # x is x_i here, and values[i] is x_{i-tau}
-        x = x + r * x * (1.0 - values[i] / K)  # _advance(x, values[i], r, K)
-        append(x)
-        if not -limit <= x <= limit:
-            diverged = True
+    done = 0
+    while done < n_steps and not diverged:
+        # settled, as above; a history past the limit is left to the loop,
+        # which stops the run on its first step
+        if (x and -limit <= x <= limit and x + r * x * (1.0 - x / K) == x
+                and values[-tau - 1:].count(x) == tau + 1):
+            values += [x] * (n_steps - done)
             break
+        stop = min(done + block, n_steps)
+        for i in range(done, stop):  # x is x_i here, and values[i] is x_{i-tau}
+            x = x + r * x * (1.0 - values[i] / K)  # _advance(x, values[i], r, K)
+            append(x)
+            if not -limit <= x <= limit:
+                diverged = True
+                break
+        done = stop
     return Trajectory(tuple(values), -tau, diverged)
 
 

@@ -323,6 +323,9 @@ def _plain_encoder_output(fmt, params, trajectory):
     ("0.3", "2.5", 0, ["--x0", "1.1"], 0),  # a single sample
     ("1e308", "1", 1, ["--history", "-1e300,1e300"], 5),  # ends in inf
     ("3", "1", 1, ["--x0", "0.5"], 100),  # stops on a finite -2.6e16
+    ("-0.5", "1", 2, ["--history", "-0.0,-0.0,-0.0"], 5),  # a +0.0 tail after -0.0
+    ("0", "1", 2, ["--x0", "0.3"], 5),  # one value throughout: no head
+    ("0.005", "2800", 200, ["--x0", "1400"], 30_000),  # a long head, a long tail
 ])
 def test_simulate_output_is_what_the_plain_encoders_write(capsys, fmt, r, K, tau,
                                                           seeding, steps):

@@ -108,6 +108,13 @@ def test_simulate_records_are_recomputable():
         (DelayParams(0.5, 1.0, 1), (0.5, 0.8), 500),
         (DelayParams(0.106, 2800.0, 17), (1400.0,) * 18, 3000),
         (DelayParams(0.005, 2800.0, 200), (1400.0,) * 201, 2000),
+        # settled runs: on K from about step 19 600, already on K, frozen,
+        # and -0.0 stepping to +0.0, which == cannot tell apart
+        (DelayParams(0.005, 2800.0, 200), (1400.0,) * 201, 50_000),
+        (DelayParams(0.5, 2800.0, 3), (2800.0,) * 4, 100),
+        (DelayParams(0.0, 1.0, 2), (0.3,) * 3, 100),
+        (DelayParams(-0.5, 1.0, 2), (-0.0,) * 3, 100),
+        (DelayParams(0.0, 1.0, 2), (1e20,) * 3, 5),  # fixed, but past the limit
         (DelayParams(3.0, 1.0, 1), (0.5, 0.5), 200),  # runs away past the limit
         (DelayParams(1e308, 1.0, 2), (1.0, -3.0, 1e300), 5),  # ends in NaN
     ]

@@ -24,8 +24,9 @@ homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
 power of two. Once a row's interior is zeros of one sign, every later row
 is too and is kept as its four distinct entries, bit for bit what the
 full reduction holds, so the delay family's table costs O(degree). One
-row step, :func:`_reduced`, and one condition function,
-:func:`_condition_terms`, serve both arithmetics, doubles and decimals.
+pass, :func:`_reduce`, serves both arithmetics, doubles and decimals: it
+forms each row, rescales it, by a power of two or of ten, and appends its
+condition, row by row.
 
 One unit-circle rule decides every verdict: a root modulus within
 MARGIN_TOL of 1 is marginal. It lives in the radii INNER_RADIUS and
@@ -52,6 +53,7 @@ the root oracle.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .polynomial import Polynomial, normalize_leading, roots
@@ -159,62 +161,123 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
     while m > 1 and coeffs[m] == 0.0:  # a root at 0 lies inside at every radius
         m -= 1
     coeffs = coeffs[:m + 1]
-    in_range, shift = _in_range(coeffs)
-    row = tuple([c * radius ** (m - k) for k, c in enumerate(in_range)])
-    live, shifts = [row], [shift]
-    for width in range(len(row), 3, -1):
-        # a power of two leaves a signed zero as it is, so rescaling the
-        # four live entries of a row rescales the row
-        row, shift = _in_range(_reduced(row, width))
-        live.append(row)
-        shifts.append(shift)
-    terms = _condition_terms(live, _UNIT_ROUNDOFF)
+    peak = max(map(abs, coeffs))
+    in_range, shift = ((coeffs, 0) if _RESCALE_LOW <= peak <= _RESCALE_HIGH
+                       else _power_of_two(coeffs, peak))
+    # a zero times a positive power is that zero, sign and all
+    row = tuple([c * radius ** (m - k) if c else c for k, c in enumerate(in_range)])
+    live, shifts, terms = _reduce(row, _UNIT_ROUNDOFF, _RESCALE_LOW, _RESCALE_HIGH,
+                                  _power_of_two)
     readings = _readings(terms)
     # within its estimate a sign is noise: where none fails, read all again,
     # as, whatever the doubles read, where the input row may have lost a
     # coefficient to 0 or a subnormal: the smallest, times 2**shift and the
     # radius's smallest power, below twice the smallest normal double
-    smallest = math.ldexp(min(map(abs, filter(None, coeffs))), shifts[0]) * min(radius, 1.0) ** m
+    smallest = math.ldexp(min(map(abs, filter(None, coeffs))), shift) * min(radius, 1.0) ** m
     if (None in readings and False not in readings) or smallest < 2.0 ** -1021:
         readings, terms = _precise_readings(coeffs, radius)
-    return JuryTable(tuple(live), tuple(shifts), radius, readings, terms)
+    return JuryTable(live, (shift,) + shifts, radius, readings, terms)
 
 
-def _reduced(row, width: int) -> tuple:
-    """The row after ``row``, a row of ``width`` entries, in the arithmetic
-    of its entries (floats or decimals): four entries once the interior is
-    zeros of one sign, which it then stays, or if ``row`` is kept as four
-    already; else all ``width - 1``."""
-    first, last = row[0], row[-1]
-    if len(row) < width or _uniform_zero_interior(row):
-        zero, penultimate = row[1], row[-2]
-        return (last * zero - penultimate * first, last * zero - zero * first,
-                last * penultimate - zero * first, last * last - first * first)
-    return tuple([last * row[k + 1] - row[width - 2 - k] * first for k in range(width - 1)])
+def _reduce(row, unit, low, high, rescale) -> tuple[tuple, tuple, tuple]:
+    """Reduce the input ``row`` to the three-entry row in one pass, in the
+    arithmetic of its entries (floats or decimals, unit roundoff ``unit``):
+    the rows as kept, the shift of each reduced row, and each condition's
+    ``(lhs, rhs, margin, rounding)``, in index order. A row is formed in
+    full until its interior is zeros of one sign, then as its four live
+    entries; one whose peak leaves [low, high] is ``rescale(row, peak)``, a
+    power that leaves a signed zero as it is, so it rescales the row.
+
+    Carry the reduction on to one entry and let ``delta_k`` be the last
+    entry of reduced row ``k``. Every root lies inside the unit circle
+    exactly when ``delta_1 < 0`` and each later ``delta_k > 0`` (Schur-Cohn;
+    Marden, *Geometry of Polynomials*, 1966), and condition ``k``'s margin
+    has the sign of ``-delta_1``, then of ``delta_k``: ``|a_m| < a_0`` on
+    the input row, ``|last| > |first|`` on each reduced row and, from
+    degree 2, ``|first + last| > |middle|`` on the three-entry row
+    ``(a, b, c)``, as ``delta_m = (c - a)**2 ((a + c)**2 - b**2)`` and
+    condition ``m - 1`` holds only where ``c != a``.
+
+    ``rounding`` is ``2m**2 u`` (a ratio of a row's entries gathers the
+    errors of every row before it) times the growth ``(l**2 + f**2) /
+    |l**2 - f**2|`` of each reduction so far, times ``lhs + rhs``, or
+    ``|a| + |b| + |c|`` where ``a + c`` may cancel. ``l**2 - f**2`` is the
+    next row's last entry before its rescale.
+    """
+    m = len(row) - 1
+    rounding = 2 * m * m * unit
+    outer = abs(row[m])
+    terms = [(outer, row[0], row[0] - outer, rounding * (outer + row[0]))]
+    live, shifts = [row], []
+    width = m + 1
+    while width > 3 and not _uniform_zero_interior(row):
+        first, last = row[0], row[-1]
+        f2, l2 = first * first, last * last
+        width -= 1
+        row = tuple([last * row[k + 1] - row[width - 1 - k] * first for k in range(width)])
+        cancelled = abs(row[-1])
+        rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
+        peak, shift = max(map(abs, row)), 0
+        if not low <= peak <= high:
+            row, shift = rescale(row, peak)
+        live.append(row)
+        shifts.append(shift)
+        first, last = abs(row[0]), abs(row[-1])
+        terms.append((last, first, last - first, rounding * (last + first)))
+    if width > 3:
+        first, zero, penultimate, last = row[0], row[1], row[-2], row[-1]
+        f2, l2 = first * first, last * last
+        for _ in range(width, 3, -1):
+            zero_last, zero_first = last * zero, zero * first
+            row = first, zero, penultimate, last = (
+                zero_last - penultimate * first, zero_last - zero_first,
+                last * penultimate - zero_first, l2 - f2)
+            first_size, last_size = abs(first), abs(last)
+            rounding = rounding * (l2 + f2) / last_size if last_size else type(unit)("inf")
+            peak, shift = max(first_size, abs(penultimate), last_size), 0
+            if not low <= peak <= high:
+                row, shift = rescale(row, peak)
+                first, zero, penultimate, last = row
+                first_size, last_size = abs(first), abs(last)
+            live.append(row)
+            shifts.append(shift)
+            terms.append((last_size, first_size, last_size - first_size,
+                          rounding * (last_size + first_size)))
+            f2, l2 = first * first, last * last
+    if m > 1:  # the last row has three entries, kept as four once sparse
+        a, b, c = row[0], row[-2], row[-1]
+        ends, middle = abs(a + c), abs(b)
+        terms.append((ends, middle, ends - middle, rounding * (abs(a) + abs(b) + abs(c))))
+    return tuple(live), tuple(shifts), tuple(terms)
 
 
-def _uniform_zero_interior(row: tuple[float, ...]) -> bool:
+def _uniform_zero_interior(row) -> bool:
     """Whether ``row[1:-2]`` is all zeros of one sign (0.0 or -0.0)."""
     interior = row[1:-2]
-    if any(interior):
-        return False
-    sign = math.copysign(1.0, interior[0])
-    return all(math.copysign(1.0, c) == sign for c in interior)
+    return not any(interior) and len(set(map(math.copysign, repeat(1.0), interior))) == 1
 
 
-def _in_range(row: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
-    """``row`` times ``2**shift``, and ``shift``: 0 while the largest
-    magnitude lies in [2**-256, 2**256], else what brings it into [1, 2)."""
-    peak = max(map(abs, row))
-    if peak == 0.0 or _RESCALE_LOW <= peak <= _RESCALE_HIGH:
+def _power_of_two(row, peak) -> tuple[tuple[float, ...], int]:
+    """``row`` times ``2**shift``, and ``shift``, which brings its peak
+    ``peak`` into [1, 2); a row of zeros as it is."""
+    if not peak:
         return row, 0
     shift = 1 - math.frexp(peak)[1]
     return tuple([math.ldexp(c, shift) for c in row]), shift
 
 
+def _power_of_ten(row, peak) -> tuple[tuple, int]:
+    """``row`` times ``10**shift``, and ``shift``, which brings its decimal
+    peak ``peak`` into [1, 10); a row of zeros as it is."""
+    if not peak:
+        return row, 0
+    shift = -peak.adjusted()
+    return tuple([c.scaleb(shift) for c in row]), shift
+
+
 def jury_conditions(table: JuryTable) -> list[dict]:
     """The ``degree`` stability inequalities of ``table``, one per row and
-    one more on the three-entry row (see :func:`_condition_terms`), as the
+    one more on the three-entry row (see :func:`_reduce`), as the
     records the payloads print: 1-based ``index``, ``description``,
     ``lhs``, ``rhs``, the reading ``satisfied`` (None where undecided) and
     ``margin``, positive where the inequality holds. The numbers are the
@@ -237,45 +300,6 @@ def _as_doubles(terms) -> tuple[tuple[float, ...], ...]:
     scaled = [(condition, -max(condition[:2]).adjusted()) for condition in terms]
     return tuple([tuple([float(x.scaleb(shift)) for x in condition])
                   for condition, shift in scaled])
-
-
-def _condition_terms(rows, unit) -> tuple[tuple, ...]:
-    """``(lhs, rhs, margin, rounding)`` of each condition of ``rows``, in
-    index order and in the arithmetic of their entries, whose unit
-    roundoff is ``unit``.
-
-    Carry the reduction on to one entry and let ``delta_k`` be the last
-    entry of reduced row ``k``. Every root lies inside the unit circle
-    exactly when ``delta_1 < 0`` and each later ``delta_k > 0`` (Schur-Cohn;
-    Marden, *Geometry of Polynomials*, 1966), and condition ``k``'s margin
-    has the sign of ``-delta_1``, then of ``delta_k``: ``|a_m| < a_0`` on
-    the input row, ``|last| > |first|`` on each reduced row and, from
-    degree 2, ``|first + last| > |middle|`` on the three-entry row
-    ``(a, b, c)``, as ``delta_m = (c - a)**2 ((a + c)**2 - b**2)`` and
-    condition ``m - 1`` holds only where ``c != a``.
-
-    ``rounding`` is ``2m**2 u`` (a ratio of a row's entries gathers the
-    errors of every row before it) times the growth ``(l**2 + f**2) /
-    |l**2 - f**2|`` of each reduction so far, times ``lhs + rhs``, or
-    ``|a| + |b| + |c|`` where ``a + c`` may cancel.
-    """
-    top = previous = rows[0]
-    m = len(top) - 1
-    rounding = 2 * m * m * unit
-    outer = abs(top[m])
-    terms = [(outer, top[0], top[0] - outer, rounding * (outer + top[0]))]
-    for row in rows[1:]:
-        f2, l2 = previous[0] * previous[0], previous[-1] * previous[-1]
-        cancelled = abs(l2 - f2)
-        rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
-        first, last = abs(row[0]), abs(row[-1])
-        terms.append((last, first, last - first, rounding * (last + first)))
-        previous = row
-    if m > 1:  # the last row has three entries, kept as four once sparse
-        a, b, c = previous[0], previous[-2], previous[-1]
-        ends, middle = abs(a + c), abs(b)
-        terms.append((ends, middle, ends - middle, rounding * (abs(a) + abs(b) + abs(c))))
-    return tuple(terms)
 
 
 def _readings(terms) -> tuple[bool | None, ...]:
@@ -301,15 +325,11 @@ def _precise_readings(coeffs: tuple[float, ...], radius: float) -> tuple[tuple, 
         for k in reversed(range(len(row))):
             row[k] *= power
             power *= radius
-        rows = [row]
-        for width in range(len(row), 3, -1):
-            row = _reduced(row, width)
-            # a row within 10**-+1000 stays in range (10**-+999999) when squared
-            exponent = max(map(abs, row)).adjusted()
-            if not -1000 <= exponent <= 1000:
-                row = [c.scaleb(-exponent) for c in row]
-            rows.append(row)
-        terms = _condition_terms(rows, Decimal(10) ** (1 - _PRECISE_DIGITS))
+        # a row whose peak's exponent lies within -+1000, in [10**-1000,
+        # 10**1001), stays in range (10**-+999999) when squared
+        low, high = Decimal("1e-1000"), Decimal("1e1001").next_minus()
+        terms = _reduce(tuple(row), Decimal(10) ** (1 - _PRECISE_DIGITS), low, high,
+                        _power_of_ten)[2]
         return _readings(terms), _as_doubles(terms)
 
 

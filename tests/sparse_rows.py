@@ -17,6 +17,10 @@ forms only these products once a row's interior is zeros of one sign;
 :func:`dense_tables` is the reduction that forms every product, written
 here with numpy and sharing no code with the package, so the two can be
 compared bit for bit, signed zeros included.
+
+:func:`condition_terms` reads the condition terms off a finished list of
+rows, in a second walk over them: the reference for the terms that
+``jury_table`` appends in its one pass, row by row, as it reduces.
 """
 
 import math
@@ -55,6 +59,11 @@ def induction_mismatches(table: JuryTable) -> list[str]:
 def bits(row) -> bytes:
     """The IEEE bits of a row of floats, so that 0.0 and -0.0 differ."""
     return struct.pack(f"<{len(row)}d", *row)
+
+
+def floats(row_bits: bytes) -> tuple[float, ...]:
+    """The row of floats whose :func:`bits` are ``row_bits``."""
+    return struct.unpack(f"<{len(row_bits) // 8}d", row_bits)
 
 
 def _rescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,3 +117,42 @@ def _dense(inputs) -> list:
             return results
         first, last = row[:, :1], row[:, -1:]
         row, shift = _rescaled(last * row[:, 1:] - row[:, -2::-1] * first)
+
+
+def condition_terms(rows, unit) -> tuple[tuple, ...]:
+    """``(lhs, rhs, margin, rounding)`` of each condition of ``rows``, in
+    index order and in the arithmetic of their entries, whose unit
+    roundoff is ``unit``.
+
+    Carry the reduction on to one entry and let ``delta_k`` be the last
+    entry of reduced row ``k``. Every root lies inside the unit circle
+    exactly when ``delta_1 < 0`` and each later ``delta_k > 0`` (Schur-Cohn;
+    Marden, *Geometry of Polynomials*, 1966), and condition ``k``'s margin
+    has the sign of ``-delta_1``, then of ``delta_k``: ``|a_m| < a_0`` on
+    the input row, ``|last| > |first|`` on each reduced row and, from
+    degree 2, ``|first + last| > |middle|`` on the three-entry row
+    ``(a, b, c)``, as ``delta_m = (c - a)**2 ((a + c)**2 - b**2)`` and
+    condition ``m - 1`` holds only where ``c != a``.
+
+    ``rounding`` is ``2m**2 u`` (a ratio of a row's entries gathers the
+    errors of every row before it) times the growth ``(l**2 + f**2) /
+    |l**2 - f**2|`` of each reduction so far, times ``lhs + rhs``, or
+    ``|a| + |b| + |c|`` where ``a + c`` may cancel.
+    """
+    top = previous = rows[0]
+    m = len(top) - 1
+    rounding = 2 * m * m * unit
+    outer = abs(top[m])
+    terms = [(outer, top[0], top[0] - outer, rounding * (outer + top[0]))]
+    for row in rows[1:]:
+        f2, l2 = previous[0] * previous[0], previous[-1] * previous[-1]
+        cancelled = abs(l2 - f2)
+        rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
+        first, last = abs(row[0]), abs(row[-1])
+        terms.append((last, first, last - first, rounding * (last + first)))
+        previous = row
+    if m > 1:  # the last row has three entries, kept as four once sparse
+        a, b, c = previous[0], previous[-2], previous[-1]
+        ends, middle = abs(a + c), abs(b)
+        terms.append((ends, middle, ends - middle, rounding * (abs(a) + abs(b) + abs(c))))
+    return tuple(terms)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from delaylogistic import cli, discretization, jury, polynomial, sweep
 from delaylogistic.delay_map import DelayParams, simulate, step
+from sparse_rows import condition_terms
 
 
 def _run(capsys, argv):
@@ -86,6 +87,13 @@ def _run(capsys, argv):
     # the 1e-300, so its records are the decimal re-read's terms
     (["jury", "--coeffs", "1,1e200,0,1e-300"],
      "b312256d6279af3024a80383b233504a70162f42c888af0c7be74f2372cfc285"),
+    # deep tables: a degree-177 table read stable from its 60-digit
+    # re-read, and a degree-1001 table that fails condition 982 after 97
+    # of its double rows were rescaled
+    (["stability", "--tau", "176", "--r", "0.00889966652964334", "--point", "nontrivial"],
+     "0c8b43987c51b5f2ecd19c89ced3fbe0da1b3428e88ff6ae6a8166fc83a4fd3f"),
+    (["stability", "--tau", "1000", "--r", "0.0016", "--point", "nontrivial"],
+     "933e16493f3ed93c0ddced121fb21bd9d71fa7a9c6197a7d869756d5ef31b024"),
 ])
 def test_golden_output_bytes(capsys, argv, digest):
     code, out, err = _run(capsys, argv)
@@ -629,7 +637,7 @@ def test_a_wide_range_input_reads_unstable_and_never_marginal(capsys, monkeypatc
     assert _records_agree_with_their_margins(payload["conditions"])
     rereads = _count_calls(monkeypatch, [(jury, "_precise_readings")])
     outer = jury.jury_table(polynomial.Polynomial(coeffs), jury.OUTER_RADIUS)
-    doubles = jury._readings(jury._condition_terms(outer.live, jury._UNIT_ROUNDOFF))
+    doubles = jury._readings(condition_terms(outer.live, jury._UNIT_ROUNDOFF))
     assert rereads["_precise_readings"] == 1 and False not in doubles
 
 
@@ -755,10 +763,11 @@ def test_each_query_builds_one_table_and_roots_once(capsys, monkeypatch, argv,
 ], ids=["jury-stable", "jury-unstable", "jury-marginal", "stability-stable",
         "stability-unstable", "stability-marginal"])
 def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, tables):
-    # each table computes its condition terms in doubles once, where it is
-    # built, and the condition records reuse those terms and readings; a
-    # decimal re-read computes them once more, in its own arithmetic
-    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_condition_terms"),
+    # each table computes its condition terms in doubles once, in the pass
+    # that reduces its rows, and the condition records reuse those terms and
+    # readings; a decimal re-read runs the pass once more, in its own
+    # arithmetic
+    counts = _count_calls(monkeypatch, [(jury, "jury_table"), (jury, "_reduce"),
                                         (jury, "_precise_readings"),
                                         (jury, "jury_conditions")])
     records = jury.jury_conditions
@@ -768,7 +777,7 @@ def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, 
             raise AssertionError("the condition records computed terms")
 
         with monkeypatch.context() as patch:
-            patch.setattr(jury, "_condition_terms", refuse)
+            patch.setattr(jury, "_reduce", refuse)
             return records(table)
 
     monkeypatch.setattr(jury, "jury_conditions", records_without_terms)
@@ -777,7 +786,7 @@ def test_a_table_decided_query_reads_each_table_once(capsys, monkeypatch, argv, 
     payload = json.loads(out)
     assert payload["verdict"]["method"] == "jury" and payload["conditions"]
     assert counts["jury_conditions"] == 1
-    assert (counts["jury_table"] == counts["_condition_terms"] - counts["_precise_readings"]
+    assert (counts["jury_table"] == counts["_reduce"] - counts["_precise_readings"]
             == tables)
 
 

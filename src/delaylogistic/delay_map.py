@@ -5,11 +5,11 @@ first, advanced by
 
     x_{n+1} = x_n + r * x_n * (1 - x_{n-tau} / K)
 
-:func:`step` maps one history to the next through ``_advance``, the one
+:func:`step` maps one history to the next, and is the one written
 definition of the update. :func:`simulate` records ``values[i]``, ``x`` at
 step ``first_step + i``, and reads ``x_{n-tau}`` off that record, so a long
 run costs O(1) per step at any delay; it writes the update inline, term for
-term as ``_advance`` does, so the two agree bitwise. A run whose history
+term as :func:`step` does, so the two agree bitwise. A run whose history
 settles on a non-zero fixed point of the update, in doubles, stops
 stepping and repeats that value to the end, so a long stable run costs what
 its settling costs. Zero is left to the loop: ``==`` cannot tell -0.0 from
@@ -84,15 +84,12 @@ def _check_state(params: DelayParams, state: Sequence[float]) -> tuple[float, ..
     return values
 
 
-def _advance(x: float, oldest: float, r: float, K: float) -> float:
-    """The recurrence itself: ``x_{n+1}`` from ``x_n`` and ``x_{n-tau}``."""
-    return x + r * x * (1.0 - oldest / K)
-
-
 def step(params: DelayParams, state: Sequence[float]) -> tuple[float, ...]:
-    """Advance the history by one application of the recurrence."""
+    """Advance the history by one application of the recurrence: drop
+    ``x_{n-tau}`` and append ``x_{n+1}`` from it and ``x_n``."""
     values = _check_state(params, state)
-    return values[1:] + (_advance(values[-1], values[0], params.r, params.K),)
+    x = values[-1]
+    return values[1:] + (x + params.r * x * (1.0 - values[0] / params.K),)
 
 
 def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajectory:
@@ -101,7 +98,7 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
     The record is the history: ``values[i]`` is ``x`` at step
     ``first_step + i``, so ``x_{n-tau}`` is always ``tau`` places behind
     ``x_n`` and each step costs O(1) whatever the delay. The loop spells
-    out ``_advance``'s expression, so each value is bitwise what
+    out the update of :func:`step`, so each value is bitwise what
     :func:`step` gives.
 
     Stops early with ``diverged=True`` once a value is non-finite or
@@ -140,7 +137,7 @@ def simulate(params: DelayParams, init: Sequence[float], n_steps: int) -> Trajec
             break
         stop = min(done + block, n_steps)
         for i in range(done, stop):  # x is x_i here, and values[i] is x_{i-tau}
-            x = x + r * x * (1.0 - values[i] / K)  # _advance(x, values[i], r, K)
+            x = x + r * x * (1.0 - values[i] / K)  # step's update, term for term
             append(x)
             if not -limit <= x <= limit:
                 diverged = True

@@ -2,8 +2,8 @@
 
 For each delay the non-trivial fixed point is stable on an open interval
 (0, f(tau)) of the reproduction rate. f is located by shrinking a bracket
-whose ends the predicate "stable?" decides; the predicate runs only the
-inner-radius table of :mod:`jury`, and its reading is ``(holds, guide)``.
+whose ends the predicate :func:`is_stable_nontrivial` decides; it runs
+only the inner-radius table of :mod:`jury`, and returns ``(holds, guide)``.
 The guide comes from the same table: the margin of its condition
 ``max(m - 1, 1)`` at degree ``m = tau + 1``, which at every delay is the
 one that fails at f, so a secant step on it picks most trial rates, and a
@@ -24,8 +24,7 @@ import math
 from typing import NamedTuple
 
 from .delay_map import NONTRIVIAL, char_poly
-from .jury import INNER_RADIUS, JuryTable, jury_table
-from .polynomial import Polynomial
+from .jury import INNER_RADIUS, jury_table
 
 DEFAULT_TOL = 1e-10
 
@@ -36,15 +35,6 @@ _BRACKET_FLOOR = 1e-9
 
 class BracketingError(ValueError):
     """No stable/unstable flip found within the allowed rate range."""
-
-
-class StableReading(NamedTuple):
-    """What :func:`is_stable` returns: whether the table reads stable, and
-    ``guide``, the margin of the table's condition ``max(m - 1, 1)`` over
-    the size of that condition's operands (see :func:`_guide`)."""
-
-    holds: bool
-    guide: float
 
 
 class BoundaryPoint(NamedTuple):
@@ -65,31 +55,23 @@ class BoundaryTable(NamedTuple):
     monotone_decreasing: bool
 
 
-def is_stable(p: Polynomial) -> StableReading:
-    """Whether :func:`jury.jury_verdict`'s first table, that of
-    ``p(INNER_RADIUS * z)``, reads ``p`` stable, with the guide from the
-    same table."""
-    table = jury_table(p, INNER_RADIUS)
-    return StableReading(all(table.readings), _guide(table))
+def is_stable_nontrivial(tau: int, r: float) -> tuple[bool, float]:
+    """Whether the capacity point at ``tau``, ``r`` is stable, with a guide.
 
-
-def _guide(table: JuryTable) -> float:
-    """The margin of condition ``max(m - 1, 1)`` of ``table`` over its
-    operands' size, in [-1, 1]: positive where it holds. For the delay
-    family it is the condition that fails where a root pair crosses the
-    circle at f(tau), so a root of the guide in r places f. It is read off
-    the table's ``terms``, the numbers its condition records show, so where
-    the decimal re-read gave the readings, it is the re-read's too.
+    The verdict is the first half of :func:`jury.jury_verdict`: whether
+    every condition holds on the table of ``char_poly(tau, r, NONTRIVIAL)``
+    at ``INNER_RADIUS``. The guide, from the same table, is the margin of
+    its condition ``max(m - 1, 1)`` over its operands' size, in [-1, 1]:
+    positive where it holds, and 0.0 where both operands are 0. For the
+    delay family it is the condition that fails where a root pair crosses
+    the circle at f(tau), so a root of the guide in r places f. It is read
+    off the table's ``terms``, the numbers its condition records show, so
+    where the decimal re-read gave the readings, it is the re-read's too.
     """
+    table = jury_table(char_poly(tau, r, NONTRIVIAL), INNER_RADIUS)
     lhs, rhs, margin, _ = table.terms[max(len(table.terms) - 2, 0)]
     size = lhs + rhs
-    return margin / size if size else 0.0
-
-
-def is_stable_nontrivial(tau: int, r: float) -> StableReading:
-    """Whether the capacity point at ``tau``, ``r`` is stable, with its
-    table's guide (see :class:`StableReading`)."""
-    return is_stable(char_poly(tau, r, NONTRIVIAL))
+    return all(table.readings), (margin / size if size else 0.0)
 
 
 def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
@@ -108,9 +90,9 @@ def critical_r(tau: int, tol: float = DEFAULT_TOL, seed: float = _BRACKET_START,
 
     Once both ends are read, the loop shrinks the bracket. A trial's guide
     is the scaled margin of its table's condition ``max(m - 1, 1)`` (see
-    :func:`_guide`). Where the ends' guides agree with the verdicts
-    (positive at the stable end, negative at the unstable end), the next
-    rate is the secant step through the two latest trials (at first the
+    :func:`is_stable_nontrivial`). Where the ends' guides agree with the
+    verdicts (positive at the stable end, negative at the unstable end), the
+    next rate is the secant step through the two latest trials (at first the
     walk's last two): where the line through their guides crosses zero, if
     that falls strictly inside the bracket, and else the ends'
     false-position point, where the line through the ends' guides crosses

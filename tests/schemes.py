@@ -3,7 +3,7 @@ points and derivatives ``fixed_point_derivatives`` gives in closed form,
 held here to those fixed points and, for the forward scheme, to the delay
 map."""
 
-from delaylogistic.delay_map import _advance
+from delaylogistic.delay_map import DelayParams, step
 from delaylogistic.discretization import FORWARD, PoleError, SchemeParams
 
 # The ratio map's denominator counts as zero within this band.
@@ -23,7 +23,7 @@ def scheme_step(p: SchemeParams, x: float) -> float:
     """
     rh = p.r * p.h
     if p.scheme == FORWARD:
-        return _advance(x, x, rh, p.K)
+        return step(DelayParams(rh, p.K, 0), (x,))[0]
     denominator = 1.0 + rh * (x / p.K)
     if abs(denominator) <= _TOL:
         raise PoleError(f"ratio map pole: denominator {denominator:.3e} at x={x!r}")

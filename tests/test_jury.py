@@ -26,7 +26,7 @@ from delaylogistic.polynomial import (
     Polynomial,
     normalize_leading,
 )
-from delaylogistic.sweep import is_stable
+from delaylogistic.sweep import is_stable_nontrivial
 from schur_cohn import deltas
 from sparse_rows import (
     bits,
@@ -930,7 +930,8 @@ def test_verdicts_never_call_the_root_oracle(monkeypatch):
         (1.0, 0.0, 3.0, 0.0, 3.0, 0.0, 1.0), SINGULAR_AT_EVERY_RADIUS)]
     for p in polys:
         assert jury_verdict(p).method == "jury"
-        is_stable(p)
+    for tau in range(61):
+        is_stable_nontrivial(tau, 0.0)
 
 
 def test_trivial_point_is_read_off_its_degree_one_table():
@@ -967,7 +968,7 @@ def test_delay_family_verdicts_near_the_threshold(tau):
     above = above if above > f else math.nextafter(above, math.inf)
     below = below if below < f else math.nextafter(below, 0.0)
     for _ in range(300):
-        assert not is_stable(char_poly(tau, above, NONTRIVIAL))[0], above
+        assert not is_stable_nontrivial(tau, above)[0], above
         assert jury_verdict(char_poly(tau, below, NONTRIVIAL)).status != UNSTABLE, below
         above, below = math.nextafter(above, math.inf), math.nextafter(below, 0.0)
     # across f -+ 6e-12 the verdict follows the rule on the root modulus:
@@ -1000,9 +1001,9 @@ def test_delay_family_verdicts_next_to_the_band_edges(tau):
                 r = math.nextafter(r, 0.0)
             for _ in range(81):
                 rho = _dominant_modulus(tau, r)
-                p = char_poly(tau, r, NONTRIVIAL)
                 if radius < 1.0:
-                    assert is_stable(p)[0] == (rho < INNER_RADIUS), r
+                    assert is_stable_nontrivial(tau, r)[0] == (rho < INNER_RADIUS), r
                 else:
+                    p = char_poly(tau, r, NONTRIVIAL)
                     assert (jury_verdict(p).status == UNSTABLE) == (rho > OUTER_RADIUS), r
                 r = math.nextafter(r, 1.0)

@@ -18,10 +18,8 @@ from delaylogistic.jury import (
 )
 from delaylogistic.sweep import (
     BracketingError,
-    StableReading,
     boundary_table,
     critical_r,
-    is_stable,
     is_stable_nontrivial,
 )
 
@@ -39,9 +37,10 @@ def _jury_nontrivial(tau, r):
     return jury_verdict(char_poly(tau, r, NONTRIVIAL))
 
 
-def _oracle_is_stable(p):
-    """``sweep.is_stable`` answered by the root oracle alone, with no guide."""
-    return StableReading(oracle_verdict(p).status == STABLE, math.nan)
+def _oracle_is_stable(tau, r):
+    """``sweep.is_stable_nontrivial`` answered by the root oracle alone, with
+    no guide."""
+    return _oracle_nontrivial(tau, r).status == STABLE, math.nan
 
 
 def _record_reads(monkeypatch):
@@ -74,10 +73,10 @@ REPORTED_THRESHOLDS = {0: 2.0, 1: 1.0, 2: 0.618034, 3: 0.445042}
 
 
 def test_is_stable_examples():
-    assert is_stable_nontrivial(1, 0.5).holds
+    assert is_stable_nontrivial(1, 0.5)[0]
     assert _jury_nontrivial(1, 0.5)[:3] == (STABLE, None, JURY)
     for tau, r in [(2, 0.7), (0, 2.5)]:
-        assert not is_stable_nontrivial(tau, r).holds
+        assert not is_stable_nontrivial(tau, r)[0]
         assert _jury_nontrivial(tau, r).status == UNSTABLE
 
 
@@ -87,10 +86,10 @@ def test_is_stable_rejects_a_non_finite_rate():
 
 
 def test_stable_range_is_open_at_zero():
-    assert not is_stable_nontrivial(2, -1e-3).holds
+    assert not is_stable_nontrivial(2, -1e-3)[0]
     assert _jury_nontrivial(2, -1e-3).status == UNSTABLE
     assert _oracle_nontrivial(2, -1e-3).status == UNSTABLE
-    assert not is_stable_nontrivial(2, 0.0).holds  # a root at 1 besides two at 0
+    assert not is_stable_nontrivial(2, 0.0)[0]  # a root at 1 besides two at 0
     assert _jury_nontrivial(2, 0.0).status == MARGINAL
     assert _oracle_nontrivial(2, 0.0).status == MARGINAL
 
@@ -125,7 +124,7 @@ def test_critical_r_below_default_bracket_start():
 def test_methods_agree_on_the_threshold(monkeypatch, tau):
     tol = 1e-9
     via_jury = critical_r(tau, tol=tol)
-    monkeypatch.setattr(sweep, "is_stable", _oracle_is_stable)
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", _oracle_is_stable)
     via_oracle = critical_r(tau, tol=tol)
     assert abs(via_jury.r_critical - via_oracle.r_critical) <= 100.0 * tol
 
@@ -133,8 +132,8 @@ def test_methods_agree_on_the_threshold(monkeypatch, tau):
 @pytest.mark.parametrize("tau", [0, 1, 2, 3, 6, 10])
 def test_threshold_is_sharp(tau):
     threshold = critical_r(tau).r_critical
-    assert is_stable_nontrivial(tau, threshold - 1e-6).holds
-    assert not is_stable_nontrivial(tau, threshold + 1e-6).holds
+    assert is_stable_nontrivial(tau, threshold - 1e-6)[0]
+    assert not is_stable_nontrivial(tau, threshold + 1e-6)[0]
     assert _jury_nontrivial(tau, threshold + 1e-6).status == UNSTABLE
 
 
@@ -174,7 +173,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 
         def verdict(tau, r, stable=stable, seen=seen):
             seen.append(r)
-            return StableReading(stable, math.nan)
+            return stable, math.nan
 
         monkeypatch.setattr(sweep, "is_stable_nontrivial", verdict)
         with pytest.raises(BracketingError, match=r"\[1e-09, 4\.0\]"):
@@ -186,7 +185,7 @@ def test_bracketing_error_when_no_flip_exists(monkeypatch):
 @pytest.mark.parametrize("fraction, expected", [(0.5, STABLE), (1.5, UNSTABLE)])
 def test_long_delay_verdicts_come_from_the_table(tau, fraction, expected):
     r = fraction * _candidate_threshold(tau)
-    assert is_stable_nontrivial(tau, r).holds == (expected == STABLE)
+    assert is_stable_nontrivial(tau, r)[0] == (expected == STABLE)
     verdict = _jury_nontrivial(tau, r)
     assert verdict.method == JURY
     assert verdict.status == expected
@@ -262,16 +261,16 @@ def test_critical_r_rejects_a_non_positive_seed_or_step():
         "constant-negative", "zero"])
 @pytest.mark.parametrize("tau", [0, 2, 17])
 def test_a_misleading_guide_leaves_bisection(monkeypatch, tau, guide):
-    def without_guide(p):
-        return StableReading(is_stable(p).holds, math.nan)
+    def without_guide(tau, r):
+        return is_stable_nontrivial(tau, r)[0], math.nan
 
-    def misled(p):
-        holds = is_stable(p).holds
-        return StableReading(holds, guide(holds))
+    def misled(tau, r):
+        holds = is_stable_nontrivial(tau, r)[0]
+        return holds, guide(holds)
 
-    monkeypatch.setattr(sweep, "is_stable", without_guide)
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", without_guide)
     bisected = critical_r(tau)
-    monkeypatch.setattr(sweep, "is_stable", misled)
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", misled)
     point = critical_r(tau)
     assert point == bisected  # midpoint steps only, the same rates read
     assert abs(point.r_critical - _candidate_threshold(tau)) <= 1e-9
@@ -287,16 +286,16 @@ def test_a_right_signed_guide_is_safeguarded_by_bisection(monkeypatch, tau, resh
     # on the flat guide, Illinois false position took 6 to 8 times the
     # reads of bisection and a secant without the safeguard far more; the
     # signs-only guide gives the two latest trials equal guides
-    def without_guide(p):
-        return StableReading(is_stable(p).holds, math.nan)
+    def without_guide(tau, r):
+        return is_stable_nontrivial(tau, r)[0], math.nan
 
-    def reshaped(p):
-        holds, guide = is_stable(p)
-        return StableReading(holds, reshape(guide))
+    def reshaped(tau, r):
+        holds, guide = is_stable_nontrivial(tau, r)
+        return holds, reshape(guide)
 
-    monkeypatch.setattr(sweep, "is_stable", without_guide)
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", without_guide)
     bisected = critical_r(tau)
-    monkeypatch.setattr(sweep, "is_stable", reshaped)
+    monkeypatch.setattr(sweep, "is_stable_nontrivial", reshaped)
     point = critical_r(tau)
     assert abs(point.r_critical - bisected.r_critical) <= sweep.DEFAULT_TOL
     assert point.bracket_width <= sweep.DEFAULT_TOL
@@ -304,29 +303,31 @@ def test_a_right_signed_guide_is_safeguarded_by_bisection(monkeypatch, tau, resh
 
 
 def test_is_stable_reading_carries_the_guide():
-    p = char_poly(5, 0.2, NONTRIVIAL)
-    reading = is_stable(p)
-    assert reading.holds and 0.0 < reading.guide <= 1.0
-    assert is_stable(char_poly(5, 0.3, NONTRIVIAL)).guide < 0.0
-    assert is_stable(char_poly(0, 1.5, NONTRIVIAL)).guide == pytest.approx(0.5 / 1.5)
+    holds, guide = is_stable_nontrivial(5, 0.2)
+    assert holds and 0.0 < guide <= 1.0
+    assert is_stable_nontrivial(5, 0.3)[1] < 0.0
+    assert is_stable_nontrivial(0, 1.5)[1] == pytest.approx(0.5 / 1.5)
     # at r = 0 the table of the rest, lambda - 1, gives a guide too: its
     # one condition misses by the radius, 1 - INNER_RADIUS
-    assert is_stable(char_poly(2, 0.0, NONTRIVIAL)).guide == pytest.approx(-0.5e-12, rel=1e-3)
+    assert is_stable_nontrivial(2, 0.0)[1] == pytest.approx(-0.5e-12, rel=1e-3)
 
 
 def test_guide_reads_the_numbers_of_the_condition_records(monkeypatch):
-    # (z^2 + 1)^2 at the outer radius: the double table leaves a condition
-    # within rounding, so the 60-digit re-read gives the readings, and the
-    # guide reads the terms of that re-read, as the records print them
+    # next to f(176) the double table leaves condition m - 1 within
+    # rounding, so the 60-digit re-read gives the readings, and the guide
+    # reads the terms of that re-read, as the records print them
+    tau, r = 176, 0.00889966652964334
     rereads = []
     original = jury._precise_readings
     monkeypatch.setattr(jury, "_precise_readings",
                         lambda *args: rereads.append(args) or original(*args))
-    table = jury.jury_table(polynomial.Polynomial((1.0, 0.0, 2.0, 0.0, 1.0)),
-                            jury.OUTER_RADIUS)
+    holds, guide = is_stable_nontrivial(tau, r)
     assert len(rereads) == 1
-    record = jury.jury_conditions(table)[2]  # condition max(m - 1, 1) at degree 4
-    assert sweep._guide(table) == record["margin"] / (record["lhs"] + record["rhs"])
+    assert holds and guide == 1.5435564908925714e-11
+    table = jury.jury_table(char_poly(tau, r, NONTRIVIAL), jury.INNER_RADIUS)
+    record = jury.jury_conditions(table)[tau - 1]  # condition m - 1 at degree tau + 1
+    assert record["index"] == tau
+    assert guide == record["margin"] / (record["lhs"] + record["rhs"])
 
 
 def test_boundary_point_method_names_the_tests_that_decided(monkeypatch, capsys):
@@ -348,8 +349,8 @@ def test_boundary_point_method_names_the_tests_that_decided(monkeypatch, capsys)
     # rate 0.5, still finds the threshold
     monkeypatch.undo()
     monkeypatch.setattr(
-        sweep, "is_stable",
-        lambda p: _oracle_is_stable(p) if p.coeffs[-1] > 0.5 else is_stable(p))
+        sweep, "is_stable_nontrivial",
+        lambda tau, r: _oracle_is_stable(tau, r) if r > 0.5 else is_stable_nontrivial(tau, r))
     point = critical_r(2)
     assert point.r_critical == pytest.approx(_candidate_threshold(2), abs=1e-9)
 

@@ -24,9 +24,10 @@ homogeneous in a row, so a row leaving [2**-256, 2**256] is rescaled by a
 power of two. Once a row's interior is zeros of one sign, every later row
 is too and is kept as its four distinct entries, bit for bit what the
 full reduction holds, so the delay family's table costs O(degree). One
-pass, :func:`_reduce`, serves both arithmetics, doubles and decimals: it
-forms each row, rescales it, by a power of two or of ten, and appends its
-condition, row by row.
+loop, :func:`_reduce`, serves both arithmetics, doubles and decimals. Its
+one branch is the row step, in full or on four entries; the rest is
+written once for both: each row's rounding growth, its rescale, by a power
+of two or of ten, and its condition.
 
 One unit-circle rule decides every verdict: a root modulus within
 MARGIN_TOL of 1 is marginal. It lives in the radii INNER_RADIUS and
@@ -180,13 +181,14 @@ def jury_table(p: Polynomial, radius: float = 1.0) -> JuryTable:
 
 
 def _reduce(row, unit, low, high, rescale) -> tuple[tuple, tuple, tuple]:
-    """Reduce the input ``row`` to the three-entry row in one pass, in the
+    """Reduce the input ``row`` to the three-entry row in one loop, in the
     arithmetic of its entries (floats or decimals, unit roundoff ``unit``):
     the rows as kept, the shift of each reduced row, and each condition's
-    ``(lhs, rhs, margin, rounding)``, in index order. A row is formed in
-    full until its interior is zeros of one sign, then as its four live
-    entries; one whose peak leaves [low, high] is ``rescale(row, peak)``, a
-    power that leaves a signed zero as it is, so it rescales the row.
+    ``(lhs, rhs, margin, rounding)``, in index order. The row step is the
+    loop's one branch: in full until the interior is zeros of one sign,
+    then on the four live entries. For either, the rounding growth follows,
+    then ``rescale(row, peak)`` where the peak leaves [low, high], a power
+    that keeps the sign of a zero, then the row's condition.
 
     Carry the reduction on to one entry and let ``delta_k`` be the last
     entry of reduced row ``k``. Every root lies inside the unit circle
@@ -208,42 +210,33 @@ def _reduce(row, unit, low, high, rescale) -> tuple[tuple, tuple, tuple]:
     rounding = 2 * m * m * unit
     outer = abs(row[m])
     terms = [(outer, row[0], row[0] - outer, rounding * (outer + row[0]))]
-    live, shifts = [row], []
-    width = m + 1
-    while width > 3 and not _uniform_zero_interior(row):
-        first, last = row[0], row[-1]
+    live, shifts, dense = [row], [], True
+    for width in range(m, 2, -1):  # the width of the row it forms
+        if dense:
+            first, last = row[0], row[-1]
+            if _uniform_zero_interior(row):
+                dense, zero, penultimate = False, row[1], row[-2]
         f2, l2 = first * first, last * last
-        width -= 1
-        row = tuple([last * row[k + 1] - row[width - 1 - k] * first for k in range(width)])
-        cancelled = abs(row[-1])
-        rounding = rounding * (l2 + f2) / cancelled if cancelled else type(unit)("inf")
-        peak, shift = max(map(abs, row)), 0
-        if not low <= peak <= high:
-            row, shift = rescale(row, peak)
-        live.append(row)
-        shifts.append(shift)
-        first, last = abs(row[0]), abs(row[-1])
-        terms.append((last, first, last - first, rounding * (last + first)))
-    if width > 3:
-        first, zero, penultimate, last = row[0], row[1], row[-2], row[-1]
-        f2, l2 = first * first, last * last
-        for _ in range(width, 3, -1):
+        if dense:
+            row = tuple([last * row[k + 1] - row[width - 1 - k] * first for k in range(width)])
+            first_size, last_size, peak = abs(row[0]), abs(row[-1]), max(map(abs, row))
+        else:  # the full step's other products have a zero factor: the same bits
             zero_last, zero_first = last * zero, zero * first
             row = first, zero, penultimate, last = (
                 zero_last - penultimate * first, zero_last - zero_first,
                 last * penultimate - zero_first, l2 - f2)
             first_size, last_size = abs(first), abs(last)
-            rounding = rounding * (l2 + f2) / last_size if last_size else type(unit)("inf")
-            peak, shift = max(first_size, abs(penultimate), last_size), 0
-            if not low <= peak <= high:
-                row, shift = rescale(row, peak)
-                first, zero, penultimate, last = row
-                first_size, last_size = abs(first), abs(last)
-            live.append(row)
-            shifts.append(shift)
-            terms.append((last_size, first_size, last_size - first_size,
-                          rounding * (last_size + first_size)))
-            f2, l2 = first * first, last * last
+            peak = max(first_size, abs(penultimate), last_size)
+        rounding = rounding * (l2 + f2) / last_size if last_size else type(unit)("inf")
+        shift = 0
+        if not low <= peak <= high:
+            row, shift = rescale(row, peak)  # which moves a decimal zero's exponent
+            first, zero, penultimate, last = row[0], row[1], row[-2], row[-1]
+            first_size, last_size = abs(first), abs(last)
+        live.append(row)
+        shifts.append(shift)
+        terms.append((last_size, first_size, last_size - first_size,
+                      rounding * (last_size + first_size)))
     if m > 1:  # the last row has three entries, kept as four once sparse
         a, b, c = row[0], row[-2], row[-1]
         ends, middle = abs(a + c), abs(b)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -572,10 +573,18 @@ def _sparse_family_with_other_signs() -> list[list[Polynomial]]:
             for k in list(range(1, 41)) + [100, 200]]
 
 
+# Where the reduction turns from full rows to four entries: at the input
+# row, at width 4, on the row it rescales as it turns (shifts -664, 332, 0,
+# 0), and on a four-entry row it rescales (shift -398).
+_SWITCH_POINTS = [Polynomial(coeffs) for coeffs in (
+    (1.0, 0.0, 0.0, 0.0, 0.5), (1.0, 0.0, -0.5, 0.25),
+    (1.0, -1e200, 0.0, 0.0, 0.0, 1e100), (1.0, -1e60, 0.0, 0.0, 0.0, 1e-60))]
+
+
 def test_sparse_family_with_other_signs_is_bitwise_dense_and_agrees_with_oracle(monkeypatch):
     rereads = _rereads(monkeypatch)
     seen = {STABLE: 0, UNSTABLE: 0, "-0.0 interior": 0, "0.0 interior": 0, "decided": 0}
-    for polys in _sparse_family_with_other_signs():
+    for polys in _sparse_family_with_other_signs() + [_SWITCH_POINTS]:
         expected = dense_tables([p.coeffs for p in polys])
         for p, want in zip(polys, expected):
             seen["decided"] += not _assert_the_dense_reduction(p, want, rereads, p.coeffs)
@@ -747,12 +756,12 @@ def _input_coeffs(p: Polynomial) -> tuple[float, ...]:
     return without_trailing_zeros(normalize_leading(p).coeffs)
 
 
-def _reread(table, coeffs) -> bool:
+def _reread(table, coeffs, doubles) -> bool:
     """Whether jury_table re-reads in decimal ``table``, that of the input
-    ``coeffs``: where its double readings leave one undecided and none
-    failing, or where its input row holds a 0 or a subnormal in place of a
-    non-zero coefficient, whatever the doubles read."""
-    doubles = _double_readings(table)
+    ``coeffs``, whose double readings are ``doubles``: where they leave one
+    undecided and none failing, or where its input row holds a 0 or a
+    subnormal in place of a non-zero coefficient, whatever the doubles
+    read."""
     lost = any(c != 0.0 and abs(x) < 2.0 ** -1022 for c, x in zip(coeffs, table.live[0]))
     return lost or (None in doubles and False not in doubles)
 
@@ -770,7 +779,7 @@ def test_decided_double_readings_agree_with_the_decimal_readings(monkeypatch):
         table = jury_table(p, INNER_RADIUS)
         doubles = _double_readings(table)
         # where jury_table read the table in decimal, it carries those readings
-        reread = _reread(table, _input_coeffs(p))
+        reread = _reread(table, _input_coeffs(p), doubles)
         assert reread == (len(rereads) > before), p.coeffs
         precise = (table.readings if reread
                    else _precise_readings(_input_coeffs(p), INNER_RADIUS)[0])
@@ -796,7 +805,7 @@ def test_decimal_readings_keep_their_decided_signs_at_twice_the_digits(monkeypat
     for p in polys:
         for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
             table = jury_table(p, radius)
-            if not _reread(table, _input_coeffs(p)):
+            if not _reread(table, _input_coeffs(p), _double_readings(table)):
                 continue
             reread += 1
             with monkeypatch.context() as patch:
@@ -806,6 +815,64 @@ def test_decimal_readings_keep_their_decided_signs_at_twice_the_digits(monkeypat
                 if sixty is not None:
                     assert more == sixty, (p.coeffs, radius, index)
     assert reread >= 100, reread
+
+
+def _dense_decimal_reduction(row) -> tuple[list, list]:
+    """Every row of the full reduction of the decimal input ``row``, in the
+    current context, as the ``str`` of each entry, and the shift of each
+    reduced row. Every entry is ``last * row[k + 1] - row[w - 1 - k] *
+    first``, and a row whose peak leaves [1e-1000, 1e1001) is brought into
+    [1, 10) by ``scaleb``; a row of zeros stays as it is."""
+    low, high = Decimal("1e-1000"), Decimal("1e1001")
+    rows, shifts = [list(map(str, row))], []
+    while len(row) > 3:
+        first, last, width = row[0], row[-1], len(row) - 1
+        row = [last * row[k + 1] - row[width - 1 - k] * first for k in range(width)]
+        peak, shift = max(map(abs, row)), 0
+        if peak and not low <= peak < high:
+            shift = -peak.adjusted()
+            row = [c.scaleb(shift) for c in row]
+        rows.append(list(map(str, row)))
+        shifts.append(shift)
+    return rows, shifts
+
+
+def test_decimal_rows_are_the_dense_decimal_reduction(monkeypatch):
+    # the 60-digit re-read forms its rows with the step the doubles take,
+    # four entries once the interior is one signed zero, and rescales them
+    # by powers of ten. Compared by str, which tells the signs of zeros and
+    # the exponents apart, on the decimal input rows the re-read builds
+    polys = []
+    for tau in list(range(41)) + [60, 100, 199, 400]:
+        threshold = 2.0 * math.sin(math.pi / (2.0 * (2 * tau + 1)))
+        polys += [char_poly(tau, fraction * threshold, NONTRIVIAL)
+                  for fraction in (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-6, 20.0)]
+    others = [p for family in _sparse_family_with_other_signs() for p in family if p.degree <= 40]
+    polys += random.Random(37).sample(others, 300)
+    reduce = jury._reduce
+    seen = {"four entries": 0, "-0 interior": 0, "rescaled": 0, "four entries rescaled": 0}
+
+    def compared(row, *args):
+        live, shifts, terms = reduce(row, *args)
+        rows, want = _dense_decimal_reduction(row)
+        assert (list(shifts), len(live)) == (want, len(rows)), case
+        for kept, full, shift in zip(live, rows, (0,) + shifts):
+            strings = list(map(str, kept))
+            if len(strings) != len(full):  # (first, zero, penultimate, last)
+                seen["four entries"] += 1
+                seen["-0 interior"] += strings[1].startswith("-")
+                seen["four entries rescaled"] += shift != 0
+                strings[1:2] *= len(full) - 3  # the zero, once per interior entry
+            seen["rescaled"] += shift != 0
+            assert strings == full, case
+        return live, shifts, terms
+
+    monkeypatch.setattr(jury, "_reduce", compared)
+    for p in polys:
+        for radius in (INNER_RADIUS, 1.0, OUTER_RADIUS):
+            case = (p.coeffs, radius)
+            _precise_readings(_input_coeffs(p), radius)
+    assert min(seen.values()) >= 100, seen
 
 
 # Verdicts against a reference that shares no code with the table: the
